@@ -19,7 +19,8 @@ using namespace scaa;
 namespace {
 
 exp::Aggregate run_config(attack::StrategyKind kind, bool strategic, int reps,
-                          std::size_t threads, double reaction_time) {
+                          const exp::WorldAssets& assets, std::size_t threads,
+                          double reaction_time) {
   exp::CampaignConfig cc;
   cc.threads = threads;
   cc.base_seed = 4242;
@@ -29,8 +30,8 @@ exp::Aggregate run_config(attack::StrategyKind kind, bool strategic, int reps,
   std::vector<exp::CampaignResult> results(grid.size());
   exp::ThreadPool pool(threads);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    pool.submit([&grid, &results, reaction_time, i] {
-      sim::WorldConfig wc = exp::world_config_for(grid[i]);
+    pool.submit([&grid, &assets, &results, reaction_time, i] {
+      sim::WorldConfig wc = exp::world_config_for(grid[i], assets);
       wc.driver.reaction_time = reaction_time;
       sim::World world(std::move(wc));
       results[i] = {grid[i], world.run()};
@@ -54,6 +55,7 @@ int main(int argc, char** argv) {
     return code;
   const int reps = static_cast<int>(args.get_int("--reps"));
   const auto threads = static_cast<std::size_t>(args.get_int("--threads"));
+  const exp::WorldAssets assets = exp::WorldAssets::make_default();
 
   std::printf("ABLATION 1: which ingredient of the Context-Aware attack "
               "matters?\n\n");
@@ -73,7 +75,7 @@ int main(int argc, char** argv) {
        false},
   };
   for (const auto& v : variants) {
-    const auto a = run_config(v.kind, v.strategic, reps, threads, 2.5);
+    const auto a = run_config(v.kind, v.strategic, reps, assets, threads, 2.5);
     t1.add_row({v.name,
                 util::format_count_percent(a.sims_with_hazards, a.simulations),
                 util::format_count_percent(a.sims_with_accidents, a.simulations),
@@ -90,7 +92,7 @@ int main(int argc, char** argv) {
   t2.set_header({"Reaction time [s]", "Hazards", "Accidents"});
   for (const double rt : {1.0, 1.5, 2.0, 2.5, 3.0, 3.5}) {
     const auto a = run_config(attack::StrategyKind::kContextAware, true, reps,
-                              threads, rt);
+                              assets, threads, rt);
     t2.add_row({util::format_double(rt, 1),
                 util::format_count_percent(a.sims_with_hazards, a.simulations),
                 util::format_count_percent(a.sims_with_accidents,

@@ -7,7 +7,7 @@
 // Usage: bench_defense [--reps N] [--threads N]
 
 #include <cstdio>
-#include <mutex>
+#include <vector>
 
 #include "cli/args.hpp"
 #include "defense/harness.hpp"
@@ -37,60 +37,64 @@ exp::CampaignConfig defense_config(int reps) {
   return cc;
 }
 
-DefenseAggregate evaluate(attack::StrategyKind strategy, bool strategic,
-                          int reps, std::size_t threads) {
-  const auto grid = exp::make_grid(strategy, strategic, /*driver=*/true,
-                                   defense_config(reps));
-  DefenseAggregate agg;
-  std::mutex mutex;
+/// One harnessed drive: its summary and what the detectors made of it.
+struct DefenseRun {
+  sim::SimulationSummary summary;
+  defense::DefenseOutcome outcome;
+};
+
+/// Run every item of @p grid under a DefenseHarness, each in its own World
+/// on the shared @p assets. Results land by index, so every fold over them
+/// runs in grid order whatever the thread schedule.
+std::vector<DefenseRun> run_grid(const std::vector<exp::CampaignItem>& grid,
+                                 const exp::WorldAssets& assets,
+                                 std::size_t threads) {
+  std::vector<DefenseRun> runs(grid.size());
   exp::ThreadPool pool(threads);
-  for (const auto& item : grid) {
-    pool.submit([&agg, &mutex, item] {
-      sim::World world(exp::world_config_for(item));
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    pool.submit([&grid, &assets, &runs, i] {
+      sim::World world(exp::world_config_for(grid[i], assets));
       defense::DefenseHarness harness(world, defense::InvariantConfig{},
                                       defense::MonitorConfig{});
-      sim::SimulationSummary summary;
-      const auto outcome = harness.run(&summary);
-      const std::lock_guard<std::mutex> lock(mutex);
-      ++agg.runs;
-      if (summary.attack_activated) ++agg.attacks;
-      if (summary.any_hazard) ++agg.hazards;
-      if (summary.attack_activated || outcome.invariant_alarmed ||
-          outcome.monitor_alarmed) {
-        if (outcome.invariant_alarmed &&
-            outcome.invariant_latency >= 0.0)
-          ++agg.invariant_detections;
-        if (outcome.monitor_alarmed && outcome.monitor_latency >= 0.0) {
-          ++agg.monitor_detections;
-          agg.monitor_latency.add(outcome.monitor_latency);
-        }
-        if (summary.attack_activated && outcome.detected_before_hazard)
-          ++agg.detected_before_hazard;
-      }
+      runs[i].outcome = harness.run(&runs[i].summary);
     });
   }
   pool.wait_idle();
+  return runs;
+}
+
+DefenseAggregate evaluate(attack::StrategyKind strategy, bool strategic,
+                          int reps, const exp::WorldAssets& assets,
+                          std::size_t threads) {
+  const auto grid = exp::make_grid(strategy, strategic, /*driver=*/true,
+                                   defense_config(reps));
+  DefenseAggregate agg;
+  for (const auto& [summary, outcome] : run_grid(grid, assets, threads)) {
+    ++agg.runs;
+    if (summary.attack_activated) ++agg.attacks;
+    if (summary.any_hazard) ++agg.hazards;
+    if (summary.attack_activated || outcome.invariant_alarmed ||
+        outcome.monitor_alarmed) {
+      if (outcome.invariant_alarmed && outcome.invariant_latency >= 0.0)
+        ++agg.invariant_detections;
+      if (outcome.monitor_alarmed && outcome.monitor_latency >= 0.0) {
+        ++agg.monitor_detections;
+        agg.monitor_latency.add(outcome.monitor_latency);
+      }
+      if (summary.attack_activated && outcome.detected_before_hazard)
+        ++agg.detected_before_hazard;
+    }
+  }
   return agg;
 }
 
 std::size_t count_false_positives(const std::vector<exp::CampaignItem>& grid,
+                                  const exp::WorldAssets& assets,
                                   std::size_t threads) {
   std::size_t false_positives = 0;
-  std::mutex mutex;
-  exp::ThreadPool pool(threads);
-  for (const auto& item : grid) {
-    pool.submit([&false_positives, &mutex, item] {
-      sim::World world(exp::world_config_for(item));
-      defense::DefenseHarness harness(world, defense::InvariantConfig{},
-                                      defense::MonitorConfig{});
-      const auto outcome = harness.run();
-      if (outcome.invariant_alarmed || outcome.monitor_alarmed) {
-        const std::lock_guard<std::mutex> lock(mutex);
-        ++false_positives;
-      }
-    });
-  }
-  pool.wait_idle();
+  for (const auto& run : run_grid(grid, assets, threads))
+    if (run.outcome.invariant_alarmed || run.outcome.monitor_alarmed)
+      ++false_positives;
   return false_positives;
 }
 
@@ -108,6 +112,7 @@ int main(int argc, char** argv) {
     return code;
   const int reps = static_cast<int>(args.get_int("--reps"));
   const auto threads = static_cast<std::size_t>(args.get_int("--threads"));
+  const exp::WorldAssets assets = exp::WorldAssets::make_default();
 
   std::printf("DEFENSE EVALUATION: control-invariant detector + "
               "context-aware monitor vs. the paper's attacks\n\n");
@@ -128,7 +133,7 @@ int main(int argc, char** argv) {
        true},
   };
   for (const Row& row : rows) {
-    const auto agg = evaluate(row.kind, row.strategic, reps, threads);
+    const auto agg = evaluate(row.kind, row.strategic, reps, assets, threads);
     table.add_row(
         {row.label, std::to_string(agg.attacks),
          util::format_count_percent(agg.hazards, agg.runs),
@@ -146,7 +151,7 @@ int main(int argc, char** argv) {
   const auto benign_grid = exp::make_grid(attack::StrategyKind::kNone, false,
                                           true, defense_config(reps));
   const auto grid_size = benign_grid.size();
-  const auto fp = count_false_positives(benign_grid, threads);
+  const auto fp = count_false_positives(benign_grid, assets, threads);
   std::printf("False positives on %zu attack-free drives: %zu (%.2f%%)\n\n",
               grid_size, fp, 100.0 * static_cast<double>(fp) /
                                  static_cast<double>(grid_size));

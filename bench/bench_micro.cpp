@@ -5,15 +5,12 @@
 #include <benchmark/benchmark.h>
 
 #include <array>
-#include <memory>
-#include <vector>
 
 #include "adas/kalman.hpp"
 #include "can/packer.hpp"
 #include "exp/campaign.hpp"
 #include "msg/bus.hpp"
 #include "sim/world.hpp"
-#include "sim/world_batch.hpp"
 
 using namespace scaa;
 
@@ -256,8 +253,8 @@ void BM_WorldConstruct(benchmark::State& state) {
 BENCHMARK(BM_WorldConstruct)->Unit(benchmark::kMicrosecond);
 
 void BM_WorldReset(benchmark::State& state) {
-  // The arena lifecycle: one resident World re-armed per simulation,
-  // allocation-free and bit-identical to BM_WorldConstruct's result.
+  // One resident World re-armed per simulation, allocation-free and
+  // bit-identical to BM_WorldConstruct's result.
   const exp::WorldAssets assets = exp::WorldAssets::make_default();
   std::uint64_t seed = 1;
   sim::World world(exp::world_config_for(micro_item(seed++), assets));
@@ -267,35 +264,6 @@ void BM_WorldReset(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WorldReset)->Unit(benchmark::kMicrosecond);
-
-void BM_BatchStep(benchmark::State& state) {
-  // One lockstep tick of K resident worlds (per-world cost = time/K): the
-  // fused project_many sweep amortizes across the batch.
-  const auto k = static_cast<std::size_t>(state.range(0));
-  const exp::WorldAssets assets = exp::WorldAssets::make_default();
-  std::vector<std::unique_ptr<sim::World>> worlds;
-  sim::WorldBatch batch;
-  std::uint64_t seed = 1;
-  for (std::size_t i = 0; i < k; ++i) {
-    worlds.push_back(std::make_unique<sim::World>(
-        exp::world_config_for(micro_item(seed++), assets)));
-    batch.add(worlds.back().get());
-  }
-  for (auto _ : state) {
-    if (batch.step() == 0) {
-      state.PauseTiming();
-      batch.clear();
-      for (auto& world : worlds) {
-        world->reset(exp::world_config_for(micro_item(seed++), assets));
-        batch.add(world.get());
-      }
-      state.ResumeTiming();
-    }
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(k));
-}
-BENCHMARK(BM_BatchStep)->Arg(1)->Arg(4)->Arg(8);
 
 void BM_FullSimulation(benchmark::State& state) {
   std::uint64_t seed = 1;

@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   }
   const double shared_s = seconds_since(t_shared);
 
-  // --- reset: re-arm one resident World per item (the arena lifecycle) ----
+  // --- reset: re-arm one resident World per item --------------------------
   double reset_s = 0.0;
   {
     sim::World world(exp::world_config_for(bench_item(1), assets));
@@ -499,8 +499,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(constructions), std::string("us"),
                   per(shared_s, constructions, 1e6),
                   shared_s > 0.0 ? owned_s / shared_s : 0.0});
-  // world_construct vs world_reset: the per-simulation setup cost a
-  // campaign pays with fresh Worlds vs resident arena Worlds.
+  // world_construct vs world_reset: the per-simulation setup cost of a
+  // fresh World vs a resident World re-armed in place.
   report.add_row({std::string("world_construct"),
                   static_cast<long long>(constructions), std::string("us"),
                   per(shared_s, constructions, 1e6), 1.0});

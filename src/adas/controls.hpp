@@ -58,7 +58,7 @@ class Controls {
   /// precompiled CAN codec handles are reused — and therefore the reset is
   /// allocation-free — as long as @p db is the database the stack was
   /// last wired against. A different database re-resolves the handles
-  /// (the only allocating path; campaign arenas always share one db).
+  /// (the only allocating path; World::reset always keeps its db).
   void reset(const can::Database& db, ControlsConfig config,
              const vehicle::VehicleParams& params, util::Rng rng);
 

@@ -85,7 +85,7 @@ class CanBus {
   /// Deliver every queued frame whose delay expires at @p tick, in
   /// original send order, and record @p tick as the current tick for
   /// subsequent delay verdicts. Called once per tick (top of
-  /// World::mid_tick, shared by step/WorldBatch/RealtimeExecutor).
+  /// World::mid_tick, shared by step() and the RealtimeExecutor).
   /// Redelivered frames skip the fault hook — a delayed frame is not
   /// re-dropped or re-delayed.
   void pump_delayed(std::uint64_t tick);

@@ -792,7 +792,7 @@ void add_bus_kernel_row(Report& report, std::ostream* progress) {
 }
 
 /// The `World::reset` kernel row of BENCH_table4.json: re-arming one
-/// resident World (the per-worker arena lifecycle) across the campaign's
+/// resident World (the realtime executor's lifecycle) across the campaign's
 /// attack-item shape, allocation-free and bit-identical to fresh
 /// construction. "simulations" holds the fixed reset count and sims_per_s
 /// the reset throughput; the remaining aggregate columns are structurally

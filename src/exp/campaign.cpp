@@ -1,12 +1,10 @@
 #include "exp/campaign.hpp"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <stdexcept>
 #include <string>
 
-#include "exp/arena.hpp"
 #include "exp/checkpoint.hpp"
 #include "road/builder.hpp"
 #include "util/mutex.hpp"
@@ -130,10 +128,11 @@ struct ProgressCounter {
   }
 };
 
-/// Task granularity for the unchunked runner path: a couple of arena
-/// batches per task, small enough to keep every worker busy on modest
-/// grids, large enough that each task amortizes its arena checkout.
-constexpr std::size_t kArenaTask = 2 * kBatchWorlds;
+/// One campaign item, simulated in its own fresh World stepped alone.
+sim::SimulationSummary simulate(const CampaignItem& item,
+                                const WorldAssets& assets) {
+  return sim::World(world_config_for(item, assets)).run();
+}
 
 }  // namespace
 
@@ -144,53 +143,24 @@ std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
   for (std::size_t i = 0; i < items.size(); ++i) results[i].item = items[i];
   const WorldAssets assets = WorldAssets::make_default();
 
-  // Declared before the pools so leased arenas outlive every task.
-  ArenaPool arenas;
-
-  if (checkpoint == nullptr) {
-    // Small tasks (not checkpoint chunks): this path materializes
-    // results[i] by index, so no reduction order is at stake, and fine
-    // granularity keeps every worker busy even on small grids.
-    ThreadPool pool(config.threads);
-    for (std::size_t begin = 0; begin < items.size(); begin += kArenaTask) {
-      const std::size_t end = std::min(items.size(), begin + kArenaTask);
-      pool.submit([&items, &results, &assets, &arenas, begin, end] {
-        ArenaPool::Lease lease(arenas);
-        std::array<sim::SimulationSummary, kArenaTask> summaries;
-        lease->run_items({items.data() + begin, end - begin}, assets,
-                         {summaries.data(), end - begin});
-        for (std::size_t i = begin; i < end; ++i)
-          results[i].summary = summaries[i - begin];
-      });
-    }
-    pool.wait_idle();
-    return results;
-  }
-
-  // Checkpointed: chunk-sized tasks, because the chunk is the commit unit.
-  // Results are still materialized by index, so granularity cannot change
-  // the outcome — only how work restores and commits.
-  checkpoint->restore_into(results);
+  // Chunk-sized tasks, because the chunk is the checkpoint's commit unit.
+  // Results are materialized by index, so granularity cannot change the
+  // outcome — only how work restores and commits.
+  if (checkpoint != nullptr) checkpoint->restore_into(results);
   const std::size_t n_chunks =
       (items.size() + kCampaignChunk - 1) / kCampaignChunk;
   CommitErrors errors;
   {
     ThreadPool pool(config.threads);
     for (std::size_t c = 0; c < n_chunks; ++c) {
-      if (checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &results, &assets, &arenas, checkpoint, &errors,
-                   c] {
+      if (checkpoint != nullptr && checkpoint->chunk_complete(c)) continue;
+      pool.submit([&items, &results, &assets, checkpoint, &errors, c] {
         if (errors.failed.load(std::memory_order_acquire)) return;
         const std::size_t begin = c * kCampaignChunk;
         const std::size_t end = std::min(items.size(), begin + kCampaignChunk);
-        {
-          ArenaPool::Lease lease(arenas);
-          std::array<sim::SimulationSummary, kCampaignChunk> summaries;
-          lease->run_items({items.data() + begin, end - begin}, assets,
-                           {summaries.data(), end - begin});
-          for (std::size_t i = begin; i < end; ++i)
-            results[i].summary = summaries[i - begin];
-        }
+        for (std::size_t i = begin; i < end; ++i)
+          results[i].summary = simulate(items[i], assets);
+        if (checkpoint == nullptr) return;
         try {
           checkpoint->commit(c, results.data() + begin, end - begin);
         } catch (const std::exception& e) {
@@ -344,28 +314,21 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
 
   ProgressCounter counter;
   counter.start_at(restored);
-  ArenaPool arenas;
   CommitErrors errors;
   {
     ThreadPool pool(config.threads);
     for (std::size_t c = range_begin; c < range_end; ++c) {
       if (checkpoint != nullptr && checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &assets, &partials, &progress, &counter, &arenas,
+      pool.submit([&items, &assets, &partials, &progress, &counter,
                    checkpoint, &errors, c, range_items] {
         if (errors.failed.load(std::memory_order_acquire)) return;
         const std::size_t begin = c * kCampaignChunk;
         const std::size_t end =
             std::min(items.size(), begin + kCampaignChunk);
-        {
-          ArenaPool::Lease lease(arenas);
-          std::array<sim::SimulationSummary, kCampaignChunk> summaries;
-          lease->run_items({items.data() + begin, end - begin}, assets,
-                           {summaries.data(), end - begin});
-          // Fold in item order within the chunk — the same order the
-          // sequential reduction uses.
-          for (std::size_t i = begin; i < end; ++i)
-            partials[c].acc.add(summaries[i - begin]);
-        }
+        // Fold in item order within the chunk — the same order the
+        // sequential reduction uses.
+        for (std::size_t i = begin; i < end; ++i)
+          partials[c].acc.add(simulate(items[i], assets));
         // Commit before reporting progress: a chunk only ever counts as
         // done once it is durable.
         if (checkpoint != nullptr) {

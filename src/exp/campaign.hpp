@@ -106,11 +106,12 @@ struct ChunkRange {
   }
 };
 
-/// Run every item; results are returned in item order (deterministic).
-/// With a @p checkpoint (may be null), work is submitted in kCampaignChunk
-/// chunks: chunks the checkpoint already holds are restored instead of
-/// recomputed, and every freshly finished chunk is durably committed, so a
-/// killed run resumes where it left off with bit-identical results.
+/// Run every item, each in its own freshly constructed World; results are
+/// returned in item order (deterministic). Work is submitted in
+/// kCampaignChunk chunks. With a @p checkpoint (may be null), chunks the
+/// checkpoint already holds are restored instead of recomputed, and every
+/// freshly finished chunk is durably committed, so a killed run resumes
+/// where it left off with bit-identical results.
 std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
                                          const CampaignConfig& config,
                                          ResultsCheckpoint* checkpoint = nullptr);

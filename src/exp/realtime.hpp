@@ -130,7 +130,7 @@ class FifoTap {
   /// Re-arm for a new run on the same FIFO: the frame counter restarts and
   /// the broken-pipe latch clears, so the warn-once log fires again if the
   /// (possibly new) reader hangs up too. Call alongside World::reset() —
-  /// without this, the second leased run in an arena would silently stay
+  /// without this, the second run on a reset World would silently stay
   /// muted after one EPIPE. The fd and subscriptions stay attached (the
   /// tap is wiring, like every other bus attachment).
   void reset() noexcept {

@@ -286,17 +286,13 @@ const vehicle::VehicleState& World::ego_state() const noexcept {
   return ego_->state();
 }
 
-void World::apply_pending(PendingProjections& pend) noexcept {
-  for (std::size_t i = 0; i < pend.count; ++i)
-    pend.vehicles[i]->apply_projection(pend.projections[i]);
-  pend.count = 0;
-}
-
 void World::project_pending(PendingProjections& pend) {
   road_->project_many({pend.points.data(), pend.count},
                       {pend.hints.data(), pend.count},
                       {pend.projections.data(), pend.count});
-  apply_pending(pend);
+  for (std::size_t i = 0; i < pend.count; ++i)
+    pend.vehicles[i]->apply_projection(pend.projections[i]);
+  pend.count = 0;
 }
 
 void World::begin_tick(PendingProjections& pend) {

@@ -119,8 +119,10 @@ struct SimulationSummary {
 /// The world. Lifecycle: construct, run() once, then reset() to re-arm the
 /// same instance for the next simulation — a reset World is bit-identical
 /// to a freshly constructed one, but performs zero heap allocations (the
-/// campaign arenas keep one World per worker resident across thousands of
-/// runs). A second run() without an intervening reset() throws.
+/// realtime executor and FIFO taps keep one World, and its bus wiring,
+/// across runs). Campaign runners construct a fresh World per item. A
+/// second run() without an intervening reset() throws. Past its first few
+/// ticks (which warm lazily sized buffers), no tick touches the heap.
 class World {
  public:
   explicit World(WorldConfig config);
@@ -153,11 +155,10 @@ class World {
   /// configured duration).
   bool finished() const noexcept { return finished_; }
 
-  /// One tick's batched projection workload: the vehicles whose
-  /// integrate() half-step is waiting for a Frenet refresh, with their
-  /// gathered query points and hints. World::step() resolves it against
-  /// its own road; WorldBatch gathers the pending spans of K worlds into
-  /// one shared Polyline::project_many sweep per phase instead.
+  /// One tick phase's projection workload: the vehicles whose integrate()
+  /// half-step is waiting for a Frenet refresh, with their gathered query
+  /// points and hints, resolved by one Road::project_many sweep against
+  /// this world's road.
   struct PendingProjections {
     static constexpr std::size_t kMaxVehicles = 4;
     std::array<vehicle::Vehicle*, kMaxVehicles> vehicles{};
@@ -202,7 +203,6 @@ class World {
   const can::Database& dbc() const noexcept { return *db_; }
 
  private:
-  friend class WorldBatch;
   // The realtime executor runs the exact step() phase sequence with a
   // timestamp at each boundary (exp/realtime.hpp); it feeds no clock value
   // into any phase, so its runs stay bit-identical to free-running ones.
@@ -211,20 +211,17 @@ class World {
   void publish_sensors(double road_curvature, double road_heading);
   void record(Trace* trace, const vehicle::ActuatorCommand& cmd);
 
-  /// step() decomposed into phases so WorldBatch can interleave K worlds
-  /// and fuse their projection sweeps. Contract: begin_tick -> resolve
-  /// pend -> mid_tick -> resolve pend -> end_tick, with end_tick returning
-  /// step()'s "still running" result.
+  /// step() decomposed into phases so the realtime executor can timestamp
+  /// each boundary. Contract: begin_tick -> project_pending -> mid_tick ->
+  /// project_pending -> end_tick, with end_tick returning step()'s "still
+  /// running" result.
   void begin_tick(PendingProjections& pend);
   void mid_tick(PendingProjections& pend);
   bool end_tick();
 
-  /// Resolve @p pend against this world's own road (the single-world
-  /// path); WorldBatch substitutes a cross-world fused sweep.
+  /// Resolve @p pend in one sweep against this world's road, write the
+  /// projections back to their vehicles and empty @p pend.
   void project_pending(PendingProjections& pend);
-
-  /// Write resolved projections back to their vehicles and empty @p pend.
-  static void apply_pending(PendingProjections& pend) noexcept;
 
   /// Shared tail of construction and reset(): re-derive every piece of
   /// simulation state from config_ alone, allocation-free. Fresh and reset

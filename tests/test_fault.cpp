@@ -1,7 +1,7 @@
 // Tests for the deterministic benign-fault injection layer: FaultPlan
 // parsing/fingerprints, the differential FaultDeterminism suite (the
 // layer's headline guarantee — same seed + same plan is bit-identical
-// across fresh-vs-reset, sequential-vs-arena, thread counts, resume, and
+// across fresh-vs-reset, runner-vs-standalone, thread counts, resume, and
 // sharded merge, and NO plan is bit-identical to an inert one), the
 // monitor's graceful-degradation mode, and the `faults` CLI surface.
 
@@ -193,14 +193,15 @@ std::vector<exp::CampaignItem> faulted_grid(int reps = 2) {
   return grid;
 }
 
-TEST(FaultDeterminism, ArenaMatchesStandaloneWorlds) {
+TEST(FaultDeterminism, RunnerMatchesStandaloneWorlds) {
   const auto grid = faulted_grid(1);
   exp::CampaignConfig cc;
   cc.threads = 2;
   const auto results = exp::run_campaign(grid, cc);
   ASSERT_EQ(results.size(), grid.size());
-  // Spot-check a stride of items: the arena/WorldBatch path must agree
-  // bit-for-bit with a freshly constructed World per item.
+  // Spot-check a stride of items: the parallel, chunked runner on shared
+  // assets must agree bit-for-bit with a standalone World per item that
+  // builds its own road and DBC.
   for (std::size_t i = 0; i < grid.size(); i += 17) {
     sim::World world(exp::world_config_for(grid[i]));
     expect_summary_eq(results[i].summary, world.run());

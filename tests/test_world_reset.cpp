@@ -1,8 +1,10 @@
-/// Differential suite for the zero-alloc simulation lifecycle: a reset
-/// World must be bit-identical to a freshly constructed one over entire
-/// campaigns (summaries AND traces), batched lockstep stepping must match
-/// sequential stepping exactly, and the arena steady state must never
-/// touch the heap.
+/// Differential suite for the World lifecycle: a reset World must be
+/// bit-identical to a freshly constructed one (summaries AND traces), the
+/// parallel campaign runner must match a fresh World per item, and the
+/// heap stays untouched where it is promised: on every tick of a warm
+/// World (what campaign runners rely on, since each item gets a fresh
+/// World), and across a whole reset()+run() cycle of a resident World
+/// (what the realtime executor and FIFO taps rely on).
 ///
 /// This TU deliberately includes alloc_counter.hpp (replacing the global
 /// operator new for this binary) — keep it out of every other suite.
@@ -13,11 +15,9 @@
 #include <memory>
 #include <vector>
 
-#include "exp/arena.hpp"
 #include "exp/campaign.hpp"
 #include "fault/plan.hpp"
 #include "sim/world.hpp"
-#include "sim/world_batch.hpp"
 #include "util/alloc_counter.hpp"
 
 namespace scaa {
@@ -111,6 +111,25 @@ std::string item_label(const CampaignItem& item) {
   return attack::to_string(item.strategy) + "/" + to_string(item.type) +
          "/s" + std::to_string(item.scenario_id) + "/seed" +
          std::to_string(item.seed);
+}
+
+/// Every fault family at once, including the delayed-frame queue (whose
+/// capacity is reserved at construction).
+std::shared_ptr<const fault::FaultPlan> multi_fault_plan() {
+  return std::make_shared<const fault::FaultPlan>(fault::FaultPlan::parse_text(
+      "can_drop rate=0.05\n"
+      "can_delay rate=0.05 ticks=3\n"
+      "can_corrupt rate=0.02\n"
+      "sensor_freeze rate=0.1\n"
+      "sensor_noise rate=0.5 mag=0.3\n"
+      "ecu_stall rate=0.005 ticks=10\n",
+      "zero-alloc"));
+}
+
+std::uint64_t faults_fired(const SimulationSummary& summary) {
+  std::uint64_t fired = 0;
+  for (const std::uint64_t f : summary.faults_fired) fired += f;
+  return fired;
 }
 
 TEST(WorldReset, FreshVsResetBitIdenticalSummary) {
@@ -252,68 +271,9 @@ TEST(WorldReset, HintedRoadQueriesMatchPlain) {
   }
 }
 
-TEST(WorldReset, BatchSteppingMatchesSequential) {
-  const WorldAssets assets = WorldAssets::make_default();
-  const std::vector<CampaignItem> items = mixed_items();
-
-  std::vector<std::unique_ptr<World>> worlds;
-  sim::WorldBatch batch;
-  for (const CampaignItem& item : items) {
-    worlds.push_back(
-        std::make_unique<World>(exp::world_config_for(item, assets)));
-    batch.add(worlds.back().get());
-  }
-  batch.run_all();
-  EXPECT_TRUE(batch.all_finished());
-
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    World fresh(exp::world_config_for(items[i], assets));
-    expect_summary_eq(fresh.run(), worlds[i]->summarize(),
-                      "batched " + item_label(items[i]));
-  }
-}
-
-TEST(WorldReset, BatchRejectsMismatchedRoads) {
-  const WorldAssets a = WorldAssets::make_default();
-  const WorldAssets b = WorldAssets::make_default();
-  const CampaignItem item = make_item(
-      attack::StrategyKind::kNone, attack::AttackType::kAcceleration, 1,
-      100.0, 5);
-  sim::WorldConfig cfg_b = exp::world_config_for(item, b);
-  cfg_b.db = a.db;  // only the road differs
-  World wa(exp::world_config_for(item, a));
-  World wb(cfg_b);
-  sim::WorldBatch batch;
-  batch.add(&wa);
-  EXPECT_THROW(batch.add(&wb), std::invalid_argument);
-}
-
-TEST(WorldReset, ArenaMatchesFreshLoop) {
-  const WorldAssets assets = WorldAssets::make_default();
-  std::vector<CampaignItem> items = mixed_items();
-  // More items than resident worlds, so the arena wraps around and resets.
-  for (std::uint64_t seed = 1000; items.size() < 2 * exp::kBatchWorlds + 3;
-       ++seed) {
-    items.push_back(make_item(attack::StrategyKind::kRandomDur,
-                              attack::AttackType::kSteeringLeft,
-                              1 + static_cast<int>(seed % 4), 60.0, seed));
-  }
-
-  exp::WorldArena arena;
-  std::vector<SimulationSummary> out(items.size());
-  arena.run_items({items.data(), items.size()}, assets,
-                  {out.data(), out.size()});
-  EXPECT_LE(arena.world_count(), exp::kBatchWorlds);
-
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    World fresh(exp::world_config_for(items[i], assets));
-    expect_summary_eq(fresh.run(), out[i], "arena " + item_label(items[i]));
-  }
-}
-
 TEST(WorldReset, CampaignRunnerMatchesFreshLoop) {
-  // End-to-end: the arena-backed parallel campaign runner must reproduce
-  // the naive one-fresh-World-per-item loop bit-for-bit, in item order.
+  // End-to-end: the parallel, chunked campaign runner must reproduce the
+  // naive one-fresh-World-per-item loop bit-for-bit, in item order.
   exp::CampaignConfig config;
   config.repetitions = 1;
   config.threads = 3;
@@ -393,32 +353,9 @@ TEST(WorldReset, PandaTogglesAcrossReset) {
   expect_summary_eq(expect_plain, world.run(), "toggled off");
 }
 
-TEST(WorldReset, ArenaSteadyStateIsZeroAlloc) {
-  const WorldAssets assets = WorldAssets::make_default();
-  std::vector<CampaignItem> warm = mixed_items();
-  // Same shapes, different seeds: the second pass is real work, not a
-  // replay, yet must not allocate.
-  std::vector<CampaignItem> steady = warm;
-  for (CampaignItem& item : steady) item.seed += 777;
-
-  exp::WorldArena arena;
-  std::vector<SimulationSummary> out(warm.size());
-  arena.run_items({warm.data(), warm.size()}, assets,
-                  {out.data(), out.size()});
-
-  const std::uint64_t before =
-      util::g_allocation_count.load(std::memory_order_relaxed);
-  arena.run_items({steady.data(), steady.size()}, assets,
-                  {out.data(), out.size()});
-  const std::uint64_t after =
-      util::g_allocation_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u)
-      << "whole-simulation steady state must not touch the heap";
-}
-
 TEST(WorldReset, SingleResetRunIsZeroAlloc) {
-  // The finer-grained variant: one reset()+run() cycle on an already-warm
-  // World, measured directly (no arena, no batch).
+  // One reset()+run() cycle on an already-warm World: the resident-World
+  // lifecycle the realtime executor and FIFO taps use.
   const WorldAssets assets = WorldAssets::make_default();
   const sim::WorldConfig cfg = exp::world_config_for(
       make_item(attack::StrategyKind::kContextAware,
@@ -441,23 +378,14 @@ TEST(WorldReset, SingleResetRunIsZeroAlloc) {
 
 TEST(WorldReset, FaultedResetRunIsZeroAlloc) {
   // The fault layer rides inside the simulation hot path, so the zero-alloc
-  // lifecycle contract extends to it: with a multi-fault plan attached
-  // (including the delayed-frame queue, whose capacity is reserved at
-  // construction), a warm reset()+run() cycle must not touch the heap.
+  // lifecycle contract extends to it: with a multi-fault plan attached, a
+  // warm reset()+run() cycle must not touch the heap.
   const WorldAssets assets = WorldAssets::make_default();
   sim::WorldConfig cfg = exp::world_config_for(
       make_item(attack::StrategyKind::kContextAware,
                 attack::AttackType::kAccelerationSteering, 2, 60.0, 13),
       assets);
-  cfg.fault_plan =
-      std::make_shared<const fault::FaultPlan>(fault::FaultPlan::parse_text(
-          "can_drop rate=0.05\n"
-          "can_delay rate=0.05 ticks=3\n"
-          "can_corrupt rate=0.02\n"
-          "sensor_freeze rate=0.1\n"
-          "sensor_noise rate=0.5 mag=0.3\n"
-          "ecu_stall rate=0.005 ticks=10\n",
-          "zero-alloc"));
+  cfg.fault_plan = multi_fault_plan();
   World world(cfg);
   world.run();
   world.reset(cfg);
@@ -472,9 +400,41 @@ TEST(WorldReset, FaultedResetRunIsZeroAlloc) {
       util::g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
       << "fault-injected steady state must not touch the heap";
-  std::uint64_t fired = 0;
-  for (const std::uint64_t f : summary.faults_fired) fired += f;
-  EXPECT_GT(fired, 0u) << "the plan must actually exercise the injector";
+  EXPECT_GT(faults_fired(summary), 0u)
+      << "the plan must actually exercise the injector";
+}
+
+TEST(WorldReset, SteadyTickIsZeroAlloc) {
+  // The campaign runners' guarantee: each item runs in a fresh World, and
+  // once it has ticked a few times, no tick until the end of the
+  // simulation touches the heap. The item is chosen to cover the whole
+  // tick surface: all four vehicles, a fixed-value attack the driver
+  // notices and takes over from, every fault family firing, and a full
+  // 50 s run.
+  const WorldAssets assets = WorldAssets::make_default();
+  CampaignItem item = make_item(attack::StrategyKind::kRandomSt,
+                                attack::AttackType::kDeceleration, 4, 60.0, 13);
+  item.strategic_values = false;
+  sim::WorldConfig cfg = exp::world_config_for(item, assets);
+  cfg.fault_plan = multi_fault_plan();
+  World world(cfg);
+  constexpr int kWarmTicks = 5;
+  for (int i = 0; i < kWarmTicks; ++i) ASSERT_TRUE(world.step());
+
+  std::uint64_t ticks = 0;
+  const std::uint64_t before =
+      util::g_allocation_count.load(std::memory_order_relaxed);
+  while (world.step()) ++ticks;
+  const std::uint64_t after =
+      util::g_allocation_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "allocations over " << ticks << " steady ticks";
+  const SimulationSummary summary = world.summarize();
+  EXPECT_TRUE(summary.attack_activated) << "the attack must go live";
+  EXPECT_TRUE(summary.driver_engaged) << "the driver must take over";
+  EXPECT_FALSE(summary.any_accident) << "the run must go the full length";
+  EXPECT_GT(faults_fired(summary), 0u)
+      << "the plan must actually exercise the injector";
 }
 
 }  // namespace
