@@ -29,7 +29,7 @@ class ArgError : public std::runtime_error {
 
 /// Declarative flag table + strict parser.
 ///
-///   ArgParser args("bench_table4", "Reproduce paper Table IV");
+///   ArgParser args("bench_ablation", "Context-Aware ingredient ablation");
 ///   args.add_int("--reps", 20, "repetitions per grid cell");
 ///   args.add_int("--threads", 0, "worker threads (0 = hardware)");
 ///   args.parse(argc, argv);                 // throws ArgError on bad input

@@ -1,6 +1,5 @@
 #include "cli/campaigns.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <fstream>
@@ -13,11 +12,9 @@
 #include <vector>
 
 #include <charconv>
-#include <filesystem>
 #include <thread>
 
 #include <signal.h>
-#include <unistd.h>
 
 #include "cli/args.hpp"
 #include "exp/campaign.hpp"
@@ -28,14 +25,10 @@
 #include "exp/tables.hpp"
 #include "fault/plan.hpp"
 #include "geom/polyline.hpp"
-#include "msg/bus.hpp"
-#include "road/builder.hpp"
 #include "sim/world.hpp"
 #include "util/mutex.hpp"
 #include "util/proc.hpp"
 #include "util/rng.hpp"
-#include "util/serial.hpp"
-#include "util/stopwatch.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace scaa::cli {
@@ -81,16 +74,6 @@ exp::CampaignConfig campaign_config(const CampaignOptions& options) {
   return cc;
 }
 
-/// Likewise for the Fig 8 sweep: fig8_report and bench --campaign fig8
-/// must time the identical workload.
-exp::ParamSpaceConfig fig8_config(const CampaignOptions& options) {
-  exp::ParamSpaceConfig cfg;
-  cfg.threads = options.threads;
-  cfg.base_seed = options.seed;
-  cfg.overlay_runs = 20 * options.reps;  // paper: 20 runs per overlay strategy
-  return cfg;
-}
-
 /// Open the checkpoint for one slice (Checkpoint selects the mode:
 /// exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
 /// for table5's per-item pairing); null when checkpointing is off. Notes
@@ -113,7 +96,7 @@ std::unique_ptr<Checkpoint> open_checkpoint(
 }
 
 /// One Table IV strategy with its grid built: the unit table4_report,
-/// bench_report, the shard worker, the coordinator, and merge all share,
+/// the shard worker, the coordinator, and merge all share,
 /// so every mode runs (and fingerprints) the identical experiment.
 struct Table4Slice {
   Table4Strategy row;
@@ -143,35 +126,6 @@ std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
   if (!options.checkpoint.empty())
     reject_slice_file_collisions(options.checkpoint, names);
   return slices;
-}
-
-/// Run one Table IV strategy through the streaming runner. The single
-/// grid-construction + run path shared by table4_report and bench_report,
-/// so the two can never drift apart (bench's aggregate columns double as
-/// a seed-for-seed identity check against table4).
-struct StrategyRun {
-  exp::Aggregate agg;
-  double wall_s = 0.0;
-  std::size_t fresh_sims = 0;  ///< simulations actually run (not restored)
-};
-
-StrategyRun run_table4_slice(const Table4Slice& slice,
-                             const CampaignOptions& options,
-                             const exp::CampaignConfig& cc,
-                             std::ostream* progress) {
-  const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
-      options, slice.name, slice.grid, progress);
-  const auto start = std::chrono::steady_clock::now();
-  // Streaming runner: O(threads) live memory instead of one result per
-  // simulation, with per-chunk progress while the grid drains.
-  StrategyRun run;
-  run.fresh_sims =
-      slice.grid.size() - (checkpoint ? checkpoint->completed_items() : 0);
-  run.agg = exp::run_campaign_streaming(slice.grid, cc,
-                                        decile_progress(progress, slice.name),
-                                        checkpoint.get());
-  run.wall_s = util::seconds_since(start);
-  return run;
 }
 
 }  // namespace
@@ -339,8 +293,7 @@ void coordinator_signal_handler(int sig) { g_coordinator_signal = sig; }
 /// holding their slice-file flocks, so an immediate `--resume` fails with
 /// "another process holds this checkpoint". Handlers are installed without
 /// SA_RESTART (poll in LineMux::run must see EINTR and re-check the flag)
-/// and the previous dispositions are restored on scope exit, so nested
-/// campaign runs (bench's shard-scaling rows) stack cleanly.
+/// and the previous dispositions are restored on scope exit.
 class CoordinatorSignalGuard {
  public:
   CoordinatorSignalGuard() {
@@ -369,16 +322,11 @@ class CoordinatorSignalGuard {
 };
 
 /// Coordinator: fork options.shards workers, multiplex their pipe progress
-/// into one decile display, reap, and merge the slice files. The merged
-/// aggregates are bit-identical to one in-process run (see exp/shard.hpp).
-struct ShardedRun {
-  std::vector<exp::Aggregate> aggs;  ///< one per strategy, presentation order
-  double wall_s = 0.0;
-  std::size_t simulations = 0;
-};
-
-ShardedRun run_table4_sharded(const CampaignOptions& options,
-                              std::ostream* progress) {
+/// into one decile display, reap, and merge the slice files. Returns one
+/// aggregate per strategy in presentation order, bit-identical to one
+/// in-process run (see exp/shard.hpp).
+std::vector<exp::Aggregate> run_table4_sharded(const CampaignOptions& options,
+                                               std::ostream* progress) {
   const exp::CampaignConfig cc = campaign_config(options);
   const std::vector<Table4Slice> slices =
       build_table4_slices(options, cc, "table4");
@@ -395,7 +343,6 @@ ShardedRun run_table4_sharded(const CampaignOptions& options,
     worker_cc.threads = std::max<std::size_t>(1, hw / shard_count);
   }
 
-  const auto start = std::chrono::steady_clock::now();
   if (progress) progress->flush();  // nothing buffered crosses the fork
 
   // From here until the reap loop below, SIGINT/SIGTERM no longer kill the
@@ -484,14 +431,11 @@ ShardedRun run_table4_sharded(const CampaignOptions& options,
         "--resume to finish, then the report (or `merge`) will be "
         "byte-identical to an uninterrupted run");
 
-  ShardedRun run;
-  for (const Table4Slice& slice : slices) {
-    run.aggs.push_back(exp::merge_slice_files(
+  std::vector<exp::Aggregate> aggs;
+  for (const Table4Slice& slice : slices)
+    aggs.push_back(exp::merge_slice_files(
         slice.grid, shard_slice_files(options, slice, shard_count)));
-    run.simulations += slice.grid.size();
-  }
-  run.wall_s = util::seconds_since(start);
-  return run;
+  return aggs;
 }
 
 /// Manual worker (--shard i/N): run this slice in-process and summarize
@@ -545,13 +489,14 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
     return table4_shard_worker_report(options, progress);
 
   if (options.shards > 1) {
-    const ShardedRun run = run_table4_sharded(options, progress);
+    const std::vector<exp::Aggregate> aggs =
+        run_table4_sharded(options, progress);
     Report report = make_table4_report();
     const auto& strategies = table4_strategies();
     for (std::size_t i = 0; i < strategies.size(); ++i) {
-      add_table4_row(report, strategies[i], run.aggs[i]);
+      add_table4_row(report, strategies[i], aggs[i]);
       note(progress, "[table4] " + to_string(strategies[i].kind) + " done: " +
-                         std::to_string(run.aggs[i].simulations) + " sims");
+                         std::to_string(aggs[i].simulations) + " sims");
     }
     return report;
   }
@@ -559,7 +504,13 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
   const exp::CampaignConfig cc = campaign_config(options);
   Report report = make_table4_report();
   for (const Table4Slice& slice : build_table4_slices(options, cc, "table4")) {
-    const auto agg = run_table4_slice(slice, options, cc, progress).agg;
+    // Streaming runner: O(threads) live memory instead of one result per
+    // simulation, with per-chunk progress while the grid drains.
+    const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
+        options, slice.name, slice.grid, progress);
+    const exp::Aggregate agg = exp::run_campaign_streaming(
+        slice.grid, cc, decile_progress(progress, slice.name),
+        checkpoint.get());
     add_table4_row(report, slice.row, agg);
     note(progress, "[table4] " + to_string(slice.row.kind) + " done: " +
                        std::to_string(agg.simulations) + " sims");
@@ -649,390 +600,6 @@ Report table5_report(const CampaignOptions& options, std::ostream* progress) {
   return report;
 }
 
-namespace {
-
-/// bench --campaign table5: wall-clock per Table V slice (the four
-/// materializing campaigns), emitted as BENCH_table5.json rows.
-Report bench_table5_report(const CampaignOptions& options,
-                           std::ostream* progress) {
-  const exp::CampaignConfig cc = campaign_config(options);
-  const auto kind = attack::StrategyKind::kContextAware;
-
-  Report report("bench: Table V campaign wall-clock (materializing runner)",
-                {"slice", "simulations", "wall_s", "sims_per_s"});
-  const struct {
-    const char* slice;
-    bool strategic;
-    bool driver;
-  } slices[] = {{"fixed-on", false, true},
-                {"fixed-off", false, false},
-                {"strategic-on", true, true},
-                {"strategic-off", true, false}};
-  double total_wall = 0.0;
-  std::size_t total_sims = 0;
-  std::size_t total_fresh = 0;
-  for (const auto& s : slices) {
-    const auto grid = exp::make_grid(kind, s.strategic, s.driver, cc);
-    const auto checkpoint = open_checkpoint<exp::ResultsCheckpoint>(
-        options, std::string("bench-table5 ") + s.slice, grid, progress);
-    const auto start = std::chrono::steady_clock::now();
-    // Throughput over freshly computed sims only: restored chunks cost ~no
-    // wall-clock, and a resumed bench must not emit an inflated trajectory
-    // point.
-    const std::size_t fresh =
-        grid.size() - (checkpoint ? checkpoint->completed_items() : 0);
-    const auto results = exp::run_campaign(grid, cc, checkpoint.get());
-    const double wall = util::seconds_since(start);
-    total_wall += wall;
-    total_sims += results.size();
-    total_fresh += fresh;
-    report.add_row(
-        {std::string(s.slice), ll(results.size()), wall,
-         wall > 0.0 ? static_cast<double>(fresh) / wall : 0.0});
-    note(progress, "[bench-table5] " + std::string(s.slice) + ": " +
-                       std::to_string(fresh) + " sims in " +
-                       std::to_string(wall) + " s");
-  }
-  report.add_row(
-      {std::string("TOTAL"), ll(total_sims), total_wall,
-       total_wall > 0.0 ? static_cast<double>(total_fresh) / total_wall
-                        : 0.0});
-  return report;
-}
-
-/// bench --campaign fig8: wall-clock of the parameter-space sweep, emitted
-/// as BENCH_fig8.json rows.
-Report bench_fig8_report(const CampaignOptions& options,
-                         std::ostream* progress) {
-  const exp::ParamSpaceConfig cfg = fig8_config(options);
-
-  Report report("bench: Fig 8 parameter-space sweep wall-clock",
-                {"slice", "points", "wall_s", "points_per_s"});
-  const auto start = std::chrono::steady_clock::now();
-  const auto points = exp::run_param_space(cfg);
-  const double wall = util::seconds_since(start);
-  report.add_row(
-      {std::string("fig8"), ll(points.size()), wall,
-       wall > 0.0 ? static_cast<double>(points.size()) / wall : 0.0});
-  note(progress, "[bench-fig8] " + std::to_string(points.size()) +
-                     " points in " + std::to_string(wall) + " s");
-  return report;
-}
-
-/// The `Polyline::project` kernel row of BENCH_table4.json: one million
-/// hinted projections of the campaign hot-loop shape (a point advancing
-/// ~0.3 m per query along the paper road). "simulations" holds the fixed
-/// operation count and sims_per_s the projection throughput; the remaining
-/// aggregate columns are structurally zero, so bench_diff.py's
-/// deterministic-column check applies to this row unchanged.
-void add_project_kernel_row(Report& report, std::ostream* progress) {
-  const road::Road road = road::RoadBuilder::paper_road();
-  const geom::Polyline& line = road.reference();
-  constexpr std::size_t kOps = 1'000'000;
-  const std::vector<geom::Vec2> points =
-      projection_workload(line, kOps, /*lanes=*/1);
-
-  double hint = -1.0;
-  double sink = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (const geom::Vec2 p : points) {
-    const auto proj = line.project(p, hint);
-    hint = proj.s;
-    sink += proj.lateral;
-  }
-  const double wall = util::seconds_since(start);
-  // Keep the loop observable without polluting the report.
-  if (!std::isfinite(sink)) note(progress, "[bench] project sink overflow");
-
-  report.add_row(
-      {std::string("Polyline::project"), ll(kOps), wall,
-       wall > 0.0 ? static_cast<double>(kOps) / wall : 0.0, 0LL, 0LL, 0LL,
-       0LL, 0LL, 0.0, 0.0, 0.0, 0.0});
-  note(progress, "[bench] Polyline::project: " + std::to_string(kOps) +
-                     " hinted projections in " + std::to_string(wall) +
-                     " s");
-}
-
-/// The `PubSubBus::publish` kernel row of BENCH_table4.json: the
-/// steady-state publish mix of 200k 100 Hz ticks (cli::bus_tick_workload,
-/// shared with bench_step's bus_publish_* rows) delivered to typed latches
-/// on all six topics — the campaign's subscriber shape, where no raw tap
-/// is attached and the lazy wire path never serializes. "simulations"
-/// holds the fixed publish count and sims_per_s the publish throughput;
-/// the remaining aggregate columns are structurally zero, so
-/// bench_diff.py's deterministic-column check applies unchanged.
-void add_bus_kernel_row(Report& report, std::ostream* progress) {
-  constexpr std::uint64_t kTicks = 200'000;
-  const std::uint64_t ops = bus_tick_workload_count(kTicks);
-
-  msg::PubSubBus bus;
-  msg::Latest<msg::GpsLocationExternal> gps(bus);
-  msg::Latest<msg::ModelV2> model(bus);
-  msg::Latest<msg::RadarState> radar(bus);
-  msg::Latest<msg::CarState> car_state(bus);
-  msg::Latest<msg::CarControl> car_control(bus);
-  msg::Latest<msg::ControlsState> controls_state(bus);
-
-  const auto start = std::chrono::steady_clock::now();
-  bus_tick_workload(kTicks, [&bus](const auto& m) { bus.publish(m); });
-  const double wall = util::seconds_since(start);
-  // Keep the loop observable without polluting the report.
-  const double sink = gps.value().speed + radar.value().lead_distance +
-                      car_state.value().speed + model.value().left_lane_line +
-                      car_control.value().accel +
-                      static_cast<double>(controls_state.value().alert_count);
-  if (!std::isfinite(sink)) note(progress, "[bench] bus sink overflow");
-
-  report.add_row(
-      {std::string("PubSubBus::publish"), ll(ops), wall,
-       wall > 0.0 ? static_cast<double>(ops) / wall : 0.0, 0LL, 0LL, 0LL,
-       0LL, 0LL, 0.0, 0.0, 0.0, 0.0});
-  note(progress, "[bench] PubSubBus::publish: " + std::to_string(ops) +
-                     " typed publishes in " + std::to_string(wall) + " s");
-}
-
-/// The `World::reset` kernel row of BENCH_table4.json: re-arming one
-/// resident World (the realtime executor's lifecycle) across the campaign's
-/// attack-item shape, allocation-free and bit-identical to fresh
-/// construction. "simulations" holds the fixed reset count and sims_per_s
-/// the reset throughput; the remaining aggregate columns are structurally
-/// zero, so bench_diff.py's deterministic-column check applies unchanged.
-void add_world_reset_kernel_row(Report& report, std::ostream* progress) {
-  constexpr std::size_t kOps = 2'000;
-  const exp::WorldAssets assets = exp::WorldAssets::make_default();
-  exp::CampaignItem item;
-  item.strategy = attack::StrategyKind::kContextAware;
-  item.type = attack::AttackType::kAcceleration;
-  sim::World world(exp::world_config_for(item, assets));
-
-  double sink = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < kOps; ++i) {
-    item.seed = i + 1;
-    world.reset(exp::world_config_for(item, assets));
-    sink += world.ego_state().speed;
-  }
-  const double wall = util::seconds_since(start);
-  // Keep the loop observable without polluting the report.
-  if (!std::isfinite(sink)) note(progress, "[bench] reset sink overflow");
-
-  report.add_row(
-      {std::string("World::reset"), ll(kOps), wall,
-       wall > 0.0 ? static_cast<double>(kOps) / wall : 0.0, 0LL, 0LL, 0LL,
-       0LL, 0LL, 0.0, 0.0, 0.0, 0.0});
-  note(progress, "[bench] World::reset: " + std::to_string(kOps) +
-                     " in-place resets in " + std::to_string(wall) + " s");
-}
-
-/// The `realtime_jitter` row of BENCH_table4.json: one simulated second of
-/// the attack-free S1 run under the 100 Hz deadline executor
-/// (exp/realtime.hpp). Column reuse: "simulations" holds the tick count,
-/// sims_per_s the achieved tick rate, sims_with_alerts the overrun count,
-/// lane_invasion_rate_mean the mean tick latency [us], tth_mean/tth_std the
-/// wake-jitter mean/std [us], and `efficiency` the miss fraction. Unlike
-/// the kernel rows, every cell here is wall-clock-derived by nature, so
-/// bench_diff.py lists the row in NONDETERMINISTIC_ROWS — advisory in
-/// --strict runs, never gating.
-void add_realtime_jitter_row(Report& report, std::ostream* progress) {
-  exp::CampaignItem item;
-  item.strategy = attack::StrategyKind::kNone;
-  item.scenario_id = 1;
-  item.initial_gap = 100.0;
-  item.seed = 2022;
-  sim::WorldConfig cfg = exp::world_config_for(item);
-  cfg.duration = 1.0;  // 100 ticks at the paper rig's 100 Hz
-
-  sim::World world(cfg);
-  const auto start = std::chrono::steady_clock::now();
-  const exp::RealtimeReport rt =
-      exp::run_realtime(world, exp::RealtimeConfig{});
-  const double wall = util::seconds_since(start);
-
-  report.add_row(
-      {std::string("realtime_jitter"), ll(rt.ticks), wall,
-       wall > 0.0 ? static_cast<double>(rt.ticks) / wall : 0.0,
-       ll(rt.overruns), 0LL, 0LL, 0LL, 0LL,
-       rt.phases.empty() ? 0.0 : rt.phases[0].latency_s.mean() * 1e6,
-       rt.wake_error_s.mean() * 1e6, rt.wake_error_s.stddev() * 1e6,
-       rt.miss_fraction()});
-  note(progress, "[bench] realtime_jitter: " + std::to_string(rt.ticks) +
-                     " ticks, " + std::to_string(rt.overruns) + " overruns");
-}
-
-/// The `faults` row of BENCH_table4.json: the attack-free campaign grid
-/// (Table IV's None row shape, same --reps/--seed) with a representative
-/// mid-intensity CAN-drop plan attached to every item, through the
-/// streaming runner. sims_per_s times the fault-injection hot path; the
-/// aggregate columns are deterministic functions of the grid and double as
-/// a seed-for-seed identity check on the fault layer itself, so
-/// bench_diff.py gates them like the strategy rows.
-void add_faults_row(Report& report, const CampaignOptions& options,
-                    std::ostream* progress) {
-  fault::FaultSpec spec;
-  spec.kind = fault::FaultKind::kCanDrop;
-  spec.rate = 0.05;
-  auto plan = std::make_shared<fault::FaultPlan>();
-  plan->add(spec);
-
-  const exp::CampaignConfig cc = campaign_config(options);
-  std::vector<exp::CampaignItem> grid =
-      exp::make_grid(attack::StrategyKind::kNone, /*strategic_values=*/false,
-                     /*driver_enabled=*/true, cc);
-  for (exp::CampaignItem& item : grid) item.fault_plan = plan;
-
-  const auto start = std::chrono::steady_clock::now();
-  const exp::Aggregate agg = exp::run_campaign_streaming(grid, cc);
-  const double wall = util::seconds_since(start);
-
-  report.add_row(
-      {std::string("faults"), ll(agg.simulations), wall,
-       wall > 0.0 ? static_cast<double>(agg.simulations) / wall : 0.0,
-       ll(agg.sims_with_alerts), ll(agg.sims_with_hazards),
-       ll(agg.sims_with_accidents), ll(agg.hazards_without_alerts),
-       ll(agg.fcw_activations), agg.lane_invasion_rate_mean, agg.tth_mean,
-       agg.tth_std, 0.0});
-  note(progress, "[bench] faults: " + std::to_string(agg.simulations) +
-                     " faulted sims in " + std::to_string(wall) + " s");
-}
-
-}  // namespace
-
-namespace {
-
-/// Bit-exact aggregate equality (doubles compared as bit patterns): the
-/// check the shard_scaling rows run against the in-process aggregates, so
-/// every bench run doubles as a sharded-merge determinism gate.
-bool same_aggregate(const exp::Aggregate& a, const exp::Aggregate& b) {
-  return a.simulations == b.simulations &&
-         a.sims_with_alerts == b.sims_with_alerts &&
-         a.sims_with_hazards == b.sims_with_hazards &&
-         a.sims_with_accidents == b.sims_with_accidents &&
-         a.hazards_without_alerts == b.hazards_without_alerts &&
-         a.fcw_activations == b.fcw_activations &&
-         util::double_bits(a.lane_invasion_rate_mean) ==
-             util::double_bits(b.lane_invasion_rate_mean) &&
-         util::double_bits(a.tth_mean) == util::double_bits(b.tth_mean) &&
-         util::double_bits(a.tth_std) == util::double_bits(b.tth_std);
-}
-
-/// The `shard_scaling_<P>` rows of BENCH_table4.json: the full Table IV
-/// campaign dispatched across P={1,2,4,8} forked worker processes, one
-/// thread each (so the rows isolate process scaling from thread scaling),
-/// under throwaway checkpoint stems. sims_per_s is the fleet throughput
-/// and `efficiency` = tput_P / (P * tput_1), the parallel efficiency
-/// relative to the one-worker fleet (timing-class columns: advisory in
-/// bench_diff, never gating). Every merged aggregate is checked bit-exact
-/// against the in-process @p expected aggregates — a bench run that
-/// survives IS the sharded-merge determinism proof.
-void add_shard_scaling_rows(Report& report, const CampaignOptions& options,
-                            const std::vector<exp::Aggregate>& expected,
-                            std::ostream* progress) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("scaa_shard_scaling." + std::to_string(static_cast<long long>(::getpid())));
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-
-  double tput_1 = 0.0;
-  for (const int workers : {1, 2, 4, 8}) {
-    CampaignOptions o = options;
-    // Built with += rather than `"p" + std::to_string(...)`: the rvalue
-    // operator+ chain trips GCC 12's -Wrestrict false positive
-    // (PR105329) at -O2+, which breaks -Werror builds on that compiler.
-    std::string slice = "p";
-    slice += std::to_string(workers);
-    o.checkpoint = (dir / slice).string();
-    o.resume = false;
-    o.shards = workers;
-    o.threads = 1;
-    const ShardedRun run = run_table4_sharded(o, /*progress=*/nullptr);
-    for (std::size_t i = 0; i < run.aggs.size(); ++i) {
-      if (!same_aggregate(run.aggs[i], expected[i]))
-        throw std::runtime_error(
-            "[bench] shard_scaling_" + std::to_string(workers) + ": merged " +
-            to_string(table4_strategies()[i].kind) +
-            " aggregate differs from the in-process run — the sharded merge "
-            "is not bit-identical");
-    }
-    const double tput =
-        run.wall_s > 0.0 ? static_cast<double>(run.simulations) / run.wall_s
-                         : 0.0;
-    if (workers == 1) tput_1 = tput;
-    const double efficiency =
-        (workers == 1 || tput_1 <= 0.0)
-            ? 1.0
-            : tput / (static_cast<double>(workers) * tput_1);
-    report.add_row({"shard_scaling_" + std::to_string(workers),
-                    ll(run.simulations), run.wall_s, tput, 0LL, 0LL, 0LL, 0LL,
-                    0LL, 0.0, 0.0, 0.0, efficiency});
-    note(progress, "[bench] shard_scaling_" + std::to_string(workers) + ": " +
-                       std::to_string(run.simulations) + " sims in " +
-                       std::to_string(run.wall_s) + " s (efficiency " +
-                       std::to_string(efficiency) + ")");
-  }
-  fs::remove_all(dir, ec);
-}
-
-}  // namespace
-
-Report bench_report(const CampaignOptions& options, std::ostream* progress) {
-  if (options.bench_campaign == "table5")
-    return bench_table5_report(options, progress);
-  if (options.bench_campaign == "fig8")
-    return bench_fig8_report(options, progress);
-
-  const exp::CampaignConfig cc = campaign_config(options);
-
-  Report report(
-      "bench: Table IV campaign wall-clock (streaming runner, shared assets)",
-      {"strategy", "simulations", "wall_s", "sims_per_s", "sims_with_alerts",
-       "sims_with_hazards", "sims_with_accidents", "hazards_without_alerts",
-       "fcw_activations", "lane_invasion_rate_mean", "tth_mean", "tth_std",
-       "efficiency"});
-
-  double total_wall = 0.0;
-  std::size_t total_sims = 0;
-  std::size_t total_fresh = 0;
-  std::vector<exp::Aggregate> inprocess_aggs;
-  for (const Table4Slice& slice : build_table4_slices(options, cc, "bench")) {
-    const auto [agg, wall, fresh] =
-        run_table4_slice(slice, options, cc, progress);
-    total_wall += wall;
-    total_sims += agg.simulations;
-    total_fresh += fresh;
-    inprocess_aggs.push_back(agg);
-    // sims_per_s counts only freshly computed sims: restored checkpoint
-    // chunks cost ~no wall-clock, and a resumed bench must not emit an
-    // inflated trajectory point (the aggregate columns still cover the
-    // full grid — that is the identity check against table4).
-    report.add_row(
-        {to_string(slice.row.kind), ll(agg.simulations), wall,
-         wall > 0.0 ? static_cast<double>(fresh) / wall : 0.0,
-         ll(agg.sims_with_alerts), ll(agg.sims_with_hazards),
-         ll(agg.sims_with_accidents), ll(agg.hazards_without_alerts),
-         ll(agg.fcw_activations), agg.lane_invasion_rate_mean, agg.tth_mean,
-         agg.tth_std, 0.0});
-    note(progress, "[bench] " + to_string(slice.row.kind) + ": " +
-                       std::to_string(fresh) + " sims in " +
-                       std::to_string(wall) + " s");
-  }
-  report.add_row(
-      {std::string("TOTAL"), ll(total_sims), total_wall,
-       total_wall > 0.0 ? static_cast<double>(total_fresh) / total_wall : 0.0,
-       0LL, 0LL, 0LL, 0LL, 0LL, 0.0, 0.0, 0.0, 0.0});
-  add_project_kernel_row(report, progress);
-  add_bus_kernel_row(report, progress);
-  add_world_reset_kernel_row(report, progress);
-  add_realtime_jitter_row(report, progress);
-  add_faults_row(report, options, progress);
-  // The sharded aggregates are checked bit-exact against the strategy rows
-  // above, so the same bench invocation that records throughput also
-  // proves the coordinator/worker/merge path reproduces the campaign.
-  add_shard_scaling_rows(report, options, inprocess_aggs, progress);
-  return report;
-}
-
 Report fig7_report(const CampaignOptions& options, std::ostream* progress) {
   exp::CampaignItem item;
   item.strategy = attack::StrategyKind::kNone;
@@ -1065,7 +632,11 @@ Report fig7_report(const CampaignOptions& options, std::ostream* progress) {
 }
 
 Report fig8_report(const CampaignOptions& options, std::ostream* progress) {
-  const auto points = exp::run_param_space(fig8_config(options));
+  exp::ParamSpaceConfig cfg;
+  cfg.threads = options.threads;
+  cfg.base_seed = options.seed;
+  cfg.overlay_runs = 20 * options.reps;  // paper: 20 runs per overlay strategy
+  const auto points = exp::run_param_space(cfg);
 
   Report report(
       "Fig 8: attack start time x duration parameter space (Acceleration)",
@@ -1399,10 +970,6 @@ const std::vector<CampaignCommand>& campaign_commands() {
        "off vs. on (--fault-plan FILE runs a custom plan instead of the "
        "sweep)",
        &faults_report},
-      {"bench", "Tables IV/V + Fig. 8, timed",
-       "end-to-end campaign wall-clock benchmark (--campaign "
-       "table4|table5|fig8 emits BENCH_<campaign>.json rows)",
-       &bench_report},
       {"merge", "Table IV",
        "fold per-shard table4 checkpoint slices (--shards/--shard runs) "
        "into the exact Table IV report, byte-identical to a single-process "
@@ -1489,12 +1056,12 @@ int run_campaign_command(const std::string& name,
   // instant or a different workload shape, so they don't take the flags.
   const bool checkpointable =
       cmd->run == &table4_report || cmd->run == &table5_report ||
-      cmd->run == &bench_report || cmd->run == &faults_report;
+      cmd->run == &faults_report;
   const bool shardable = cmd->run == &table4_report;
   const bool is_merge = cmd->run == &table4_merge_report;
   const bool is_run = cmd->run == &run_report;
   // Only the fault-aware workloads take --fault-plan: the paper tables
-  // (table4/table5/fig7/fig8) and their bench/merge counterparts must stay
+  // (table4/table5/fig7/fig8) and the table4 merge must stay
   // seed-for-seed identical to the published baselines, so ArgParser's
   // unknown-flag rejection turns a stray --fault-plan there into a clean
   // exit-2 usage error instead of a silently different experiment.
@@ -1527,10 +1094,6 @@ int run_campaign_command(const std::string& name,
                     "checkpoint path stem the shard slice files were written "
                     "under (required)");
   }
-  if (cmd->run == &bench_report)
-    args.add_choice("--campaign", "table4", {"table4", "table5", "fig8"},
-                    "which campaign to time (emits BENCH_<campaign>.json "
-                    "rows)");
   if (is_run) {
     args.add_bool("--realtime",
                   "pin each tick to an absolute deadline clock and report "
@@ -1619,18 +1182,6 @@ int run_campaign_command(const std::string& name,
           << ": merge requires --checkpoint PATH (the stem the shard slice "
              "files were written under)\n"
           << args.usage();
-      return 2;
-    }
-  }
-  if (cmd->run == &bench_report) {
-    options.bench_campaign = args.get_string("--campaign");
-    // The fig8 parameter-space sweep does not run through the chunked grid
-    // runners, so it cannot checkpoint yet; silently ignoring the flags
-    // would leave the user believing an hour-long run was protected.
-    if (options.bench_campaign == "fig8" && !options.checkpoint.empty()) {
-      err << "scaa_campaign bench: --checkpoint is not supported with "
-             "--campaign fig8 (the parameter-space sweep has no chunked "
-             "checkpoint path yet)\n";
       return 2;
     }
   }

@@ -25,10 +25,10 @@ namespace scaa::cli {
 /// Deterministic projection query stream shaped like the campaign hot
 /// loop: @p lanes points (one per simulated vehicle) advancing ~0.3 m per
 /// tick near the centerline with +/-3 m lateral jitter, wrapping before
-/// the road end. Returns ticks * lanes points, tick-major. The single
-/// generator behind the `Polyline::project` row of `scaa_campaign bench`
-/// and the `project_*` rows of bench_step, so "same workload" comparisons
-/// across the two reports cannot drift apart.
+/// the road end. Returns ticks * lanes points, tick-major. perfbench's
+/// `geom.project_op_ns` kernel and the projection differential suite both
+/// draw from this one generator, so the workload the benchmark times is
+/// the workload the tests prove exact.
 std::vector<geom::Vec2> projection_workload(const geom::Polyline& line,
                                             std::size_t ticks,
                                             std::size_t lanes);
@@ -37,10 +37,10 @@ std::vector<geom::Vec2> projection_workload(const geom::Polyline& line,
 /// state: for each of @p ticks 100 Hz ticks, invokes @p publish with
 /// carState, carControl and controlsState (every tick) plus
 /// gpsLocationExternal, modelV2 and radarState (every 5th tick), fields
-/// varying deterministically with the tick. The single generator behind
-/// the `PubSubBus::publish` row of `scaa_campaign bench` and the
-/// `bus_publish_*` rows of bench_step, so "same workload" comparisons
-/// across the two reports cannot drift apart.
+/// varying deterministically with the tick. perfbench's
+/// `msg.publish_*_op_ns` kernels and the bus equivalence suite both drive
+/// this one generator, so the workload the benchmark times is the
+/// workload the tests prove exact and allocation-free.
 template <typename Fn>
 void bus_tick_workload(std::uint64_t ticks, Fn&& publish) {
   for (std::uint64_t tick = 0; tick < ticks; ++tick) {
@@ -110,7 +110,6 @@ struct CampaignOptions {
   int decimate = 10;        ///< fig7 only: keep every n-th trace row
   std::string checkpoint;   ///< checkpoint path stem; empty = no checkpoint
   bool resume = false;      ///< load completed chunks from the checkpoint
-  std::string bench_campaign = "table4";  ///< bench only: campaign to time
   int shards = 0;        ///< table4/merge: worker processes (0/1 = off)
   int shard_index = -1;  ///< manual --shard i/N worker: 0-based slice index
   int shard_count = 0;   ///< manual --shard i/N worker: fleet size (0 = off)
@@ -161,9 +160,9 @@ struct Table4Strategy {
   int rep_multiplier;  ///< Random-ST+DUR: 10x reps for space coverage
 };
 
-/// The paper's Table IV strategy grid, in presentation order. Both
-/// scaa_campaign table4 and bench_table4 iterate this single definition so
-/// they can never reproduce different experiments.
+/// The paper's Table IV strategy grid, in presentation order. The
+/// in-process, sharded and merge paths all iterate this single definition
+/// so they can never reproduce different experiments.
 const std::vector<Table4Strategy>& table4_strategies();
 
 /// Live per-chunk progress for the streaming runner: prints one status line
@@ -222,15 +221,6 @@ Report fig8_report(const CampaignOptions& options, std::ostream* progress);
 /// never be confused and a resumed cell is bit-identical to an
 /// uninterrupted one.
 Report faults_report(const CampaignOptions& options, std::ostream* progress);
-
-/// End-to-end wall-clock benchmark. options.bench_campaign selects the
-/// workload: "table4" (default) times the Table IV campaign per strategy
-/// through the streaming runner — one row per strategy plus TOTAL, with
-/// aggregate columns that double as a seed-for-seed identity check against
-/// table4; "table5" times the four Table V slices; "fig8" times the
-/// parameter-space sweep. `--format json --out BENCH_<campaign>.json`
-/// records a benchmark trajectory point.
-Report bench_report(const CampaignOptions& options, std::ostream* progress);
 
 /// `scaa_campaign run`: one simulation through the single-sim executor,
 /// free-running by default or deadline-clocked with --realtime. The report

@@ -2,50 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/table.hpp"
-
 namespace scaa::exp {
-
-namespace {
-
-using util::format_count_percent;
-using util::format_double;
-using util::format_mean_std;
-
-std::string tth_cell(const Aggregate& agg) {
-  if (agg.tth_mean <= 0.0 && agg.tth_std <= 0.0) return "-";
-  return format_mean_std(agg.tth_mean, agg.tth_std);
-}
-
-}  // namespace
-
-std::string render_table4(
-    const std::map<attack::StrategyKind, Aggregate>& per_strategy) {
-  util::TextTable table;
-  table.set_header({"Attack Strategy", "Alerts", "Hazards", "Accidents",
-                    "Hazards&no Alerts", "LaneInvasion(No. Event/s)",
-                    "TTH(s) (Avg +/- Std)"});
-  // Fixed presentation order matching the paper.
-  const attack::StrategyKind order[] = {
-      attack::StrategyKind::kNone, attack::StrategyKind::kRandomStDur,
-      attack::StrategyKind::kRandomSt, attack::StrategyKind::kRandomDur,
-      attack::StrategyKind::kContextAware};
-  for (const auto kind : order) {
-    const auto it = per_strategy.find(kind);
-    if (it == per_strategy.end()) continue;
-    const Aggregate& a = it->second;
-    table.add_row({
-        to_string(kind),
-        format_count_percent(a.sims_with_alerts, a.simulations),
-        format_count_percent(a.sims_with_hazards, a.simulations),
-        format_count_percent(a.sims_with_accidents, a.simulations),
-        format_count_percent(a.hazards_without_alerts, a.simulations),
-        format_double(a.lane_invasion_rate_mean),
-        tth_cell(a),
-    });
-  }
-  return table.render();
-}
 
 std::map<attack::AttackType, TypeOutcome> pair_driver_outcomes(
     const std::vector<CampaignResult>& with_driver,
@@ -86,43 +43,6 @@ std::map<attack::AttackType, TypeOutcome> pair_driver_outcomes(
 
   for (auto& [type, slot] : out) slot.agg = aggregate(by_type[type]);
   return out;
-}
-
-std::string render_table5(
-    const std::map<attack::AttackType, TypeOutcome>& fixed_values,
-    const std::map<attack::AttackType, TypeOutcome>& strategic_values) {
-  util::TextTable table;
-  table.set_header({"Attack Type",
-                    // no strategic corruption
-                    "Alerts", "Hazards", "Accidents", "TTH(s)",
-                    "PreventedHaz", "NewHaz", "PreventedAcc",
-                    // strategic corruption
-                    "Alerts*", "Hazards*", "Accidents*", "TTH(s)*",
-                    "DriverPrev*"});
-  for (const attack::AttackType type : attack::kAllAttackTypes) {
-    const auto fit = fixed_values.find(type);
-    const auto sit = strategic_values.find(type);
-    if (fit == fixed_values.end() || sit == strategic_values.end()) continue;
-    const TypeOutcome& f = fit->second;
-    const TypeOutcome& s = sit->second;
-    table.add_row({
-        to_string(type),
-        format_count_percent(f.agg.sims_with_alerts, f.agg.simulations),
-        format_count_percent(f.agg.sims_with_hazards, f.agg.simulations),
-        format_count_percent(f.agg.sims_with_accidents, f.agg.simulations),
-        tth_cell(f.agg),
-        format_count_percent(f.prevented_hazards, f.agg.simulations),
-        format_count_percent(f.new_hazards, f.agg.simulations),
-        format_count_percent(f.prevented_accidents, f.agg.simulations),
-        format_count_percent(s.agg.sims_with_alerts, s.agg.simulations),
-        format_count_percent(s.agg.sims_with_hazards, s.agg.simulations),
-        format_count_percent(s.agg.sims_with_accidents, s.agg.simulations),
-        tth_cell(s.agg),
-        std::to_string(s.driver_preventions) + "/" +
-            std::to_string(s.prevented_hazards),
-    });
-  }
-  return table.render();
 }
 
 }  // namespace scaa::exp

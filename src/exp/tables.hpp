@@ -1,20 +1,14 @@
 #pragma once
 
 /// @file tables.hpp
-/// Emitters that regenerate the paper's tables from campaign results.
+/// Table V's driver-on/driver-off pairing of campaign results.
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "exp/campaign.hpp"
 
 namespace scaa::exp {
-
-/// Table IV: attack-strategy comparison with an alert driver.
-/// Keys of @p per_strategy are the strategy kinds present.
-std::string render_table4(
-    const std::map<attack::StrategyKind, Aggregate>& per_strategy);
 
 /// Per-attack-type slice for Table V.
 struct TypeOutcome {
@@ -33,11 +27,5 @@ struct TypeOutcome {
 std::map<attack::AttackType, TypeOutcome> pair_driver_outcomes(
     const std::vector<CampaignResult>& with_driver,
     const std::vector<CampaignResult>& without_driver);
-
-/// Table V: context-aware attack per type, with or without strategic value
-/// corruption (@p corrupted selects the caption).
-std::string render_table5(
-    const std::map<attack::AttackType, TypeOutcome>& fixed_values,
-    const std::map<attack::AttackType, TypeOutcome>& strategic_values);
 
 }  // namespace scaa::exp

@@ -6,8 +6,9 @@
 /// Including this header REPLACES the global allocation functions of the
 /// binary, so include it in exactly ONE translation unit of an executable
 /// (it defines non-inline operators — a second including TU is an ODR
-/// violation the linker will reject). Used by test_codec and bench_codec
-/// to prove the precompiled CAN codec path never touches the heap.
+/// violation the linker will reject). The zero-allocation tests include it
+/// to prove hot paths such as the precompiled CAN codec never touch the
+/// heap.
 
 #include <atomic>
 #include <cstdlib>

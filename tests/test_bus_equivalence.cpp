@@ -62,6 +62,12 @@ M wire_round_trip(const M& m) {
   return out;
 }
 
+/// Records the wire bytes of every typed delivery of M into @p last.
+template <typename M>
+void record_typed(msg::PubSubBus& bus, std::vector<std::uint8_t>& last) {
+  bus.subscribe<M>([&last](const M& m) { last = msg::serialize(m); });
+}
+
 TEST(BusEquivalence, WireSizesAreExact) {
   EXPECT_EQ(msg::serialize(msg::GpsLocationExternal{}).size(),
             msg::WireSizeOf<msg::GpsLocationExternal>::value);
@@ -111,6 +117,26 @@ TEST(BusEquivalence, TypedDeliveryBitIdenticalToWireRoundTrip) {
   EXPECT_EQ(got_cs.cruise_enabled, legacy_cs.cruise_enabled);
   expect_bits_eq(got_cs.driver_torque, legacy_cs.driver_torque,
                  "driver_torque");
+
+  // The steady-state mix perfbench times (cli::bus_tick_workload), on all
+  // six topics. Serialization is exact IEEE-754, so equal bytes mean every
+  // delivered field is bit-identical to decode(serialize(m)).
+  msg::PubSubBus tick_bus;
+  std::vector<std::uint8_t> last;
+  record_typed<msg::GpsLocationExternal>(tick_bus, last);
+  record_typed<msg::ModelV2>(tick_bus, last);
+  record_typed<msg::RadarState>(tick_bus, last);
+  record_typed<msg::CarState>(tick_bus, last);
+  record_typed<msg::CarControl>(tick_bus, last);
+  record_typed<msg::ControlsState>(tick_bus, last);
+  std::uint64_t published = 0;
+  cli::bus_tick_workload(2000, [&](const auto& m) {
+    last.clear();
+    tick_bus.publish(m);
+    EXPECT_EQ(last, msg::serialize(wire_round_trip(m))) << published;
+    ++published;
+  });
+  EXPECT_EQ(published, cli::bus_tick_workload_count(2000));
 }
 
 TEST(BusEquivalence, RawFramesMatchEagerSerializationExactly) {
@@ -132,6 +158,31 @@ TEST(BusEquivalence, RawFramesMatchEagerSerializationExactly) {
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[0], msg::serialize(gps));
   EXPECT_EQ(frames[1], msg::serialize(plain));
+
+  // The steady-state mix perfbench times (cli::bus_tick_workload), with a
+  // typed latch and a raw tap on every topic.
+  msg::PubSubBus tick_bus;
+  msg::Latest<msg::GpsLocationExternal> gps_latch(tick_bus);
+  msg::Latest<msg::ModelV2> model_latch(tick_bus);
+  msg::Latest<msg::RadarState> radar_latch(tick_bus);
+  msg::Latest<msg::CarState> cs_latch(tick_bus);
+  msg::Latest<msg::CarControl> cc_latch(tick_bus);
+  msg::Latest<msg::ControlsState> st_latch(tick_bus);
+  std::vector<std::uint8_t> frame;
+  for (std::size_t i = 1; i <= msg::kTopicCount; ++i) {
+    tick_bus.subscribe_raw(static_cast<msg::Topic>(i),
+                           [&frame](const msg::WireFrame& f) {
+                             frame.assign(f.payload.begin(), f.payload.end());
+                           });
+  }
+  std::uint64_t published = 0;
+  cli::bus_tick_workload(2000, [&](const auto& m) {
+    frame.clear();
+    tick_bus.publish(m);
+    EXPECT_EQ(frame, msg::serialize(m)) << published;
+    ++published;
+  });
+  EXPECT_EQ(published, cli::bus_tick_workload_count(2000));
 }
 
 TEST(BusEquivalence, FramesIdenticalWithAndWithoutOtherSubscribers) {
@@ -268,9 +319,9 @@ TEST(BusEquivalence, NestedSameTopicPublishKeepsOuterFrameIntact) {
 
 // --- zero-allocation proofs (process-wide counting operator new) ----------
 // Both tests drive cli::bus_tick_workload — the exact steady-state publish
-// mix behind the bench_step bus_publish_* rows and BENCH_table4.json's
-// PubSubBus::publish row — so the zero-alloc proof covers the workload
-// the benchmarks measure.
+// mix behind perfbench's msg.publish_typed_op_ns / msg.publish_wire_op_ns
+// kernels — so the zero-alloc proof covers the workload the benchmark
+// measures.
 
 TEST(BusEquivalence, TypedPublishDoesNotAllocate) {
   msg::PubSubBus bus;

@@ -234,17 +234,6 @@ TEST(Campaigns, ResumeRequiresCheckpointPath) {
   EXPECT_NE(err.str().find("--checkpoint"), std::string::npos);
 }
 
-TEST(Campaigns, BenchFig8RejectsCheckpointInsteadOfIgnoringIt) {
-  // The fig8 sweep has no checkpoint path; silently accepting the flag
-  // would leave an hour-long run unprotected while claiming otherwise.
-  std::ostringstream out, err;
-  EXPECT_EQ(cli::run_campaign_command(
-                "bench", {"--campaign", "fig8", "--checkpoint", "f8.ckpt"},
-                out, err),
-            2);
-  EXPECT_NE(err.str().find("not supported"), std::string::npos);
-}
-
 TEST(Campaigns, CheckpointFlagsOnlyOnGridCampaigns) {
   // fig7 is a single simulation; it must not advertise --checkpoint.
   std::ostringstream out, err;

@@ -222,19 +222,6 @@ TEST(Aggregate, CountsAndFractions) {
   EXPECT_DOUBLE_EQ(agg.tth_mean, 3.0);
 }
 
-TEST(Tables, Table4RendersAllRows) {
-  std::map<attack::StrategyKind, exp::Aggregate> rows;
-  exp::Aggregate a;
-  a.simulations = 1440;
-  a.sims_with_hazards = 1201;
-  rows[attack::StrategyKind::kNone] = a;
-  rows[attack::StrategyKind::kContextAware] = a;
-  const std::string table = exp::render_table4(rows);
-  EXPECT_NE(table.find("No Attacks"), std::string::npos);
-  EXPECT_NE(table.find("Context-Aware"), std::string::npos);
-  EXPECT_NE(table.find("83.4%"), std::string::npos);
-}
-
 TEST(Tables, PairDriverOutcomes) {
   auto grid = exp::make_grid(attack::StrategyKind::kContextAware, true, true,
                              grid_config(1, 7));

@@ -16,8 +16,10 @@
 #include <limits>
 #include <vector>
 
+#include "cli/campaigns.hpp"
 #include "geom/frenet.hpp"
 #include "geom/polyline.hpp"
+#include "road/builder.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -364,6 +366,45 @@ TEST(ProjectDifferential, ProjectManyWithoutHintsIsFullSearch) {
     const auto full = line.project(queries[i], -1.0);
     EXPECT_EQ(batched[i].s, full.s) << "i=" << i;
     EXPECT_EQ(batched[i].lateral, full.lateral) << "i=" << i;
+  }
+}
+
+TEST(ProjectDifferential, PaperRoadWorkloadIsBitExact) {
+  // The query stream perfbench times (cli::projection_workload): four
+  // vehicles advancing along the paper road, each carrying its own hint
+  // from tick to tick, exactly as World projects them. Hinted project and
+  // the batched project_many must both reproduce project_reference, which
+  // must itself be the oracle, bit for bit.
+  const road::Road road = road::RoadBuilder::paper_road();
+  const Polyline& line = road.reference();
+  std::vector<Vec2> pts;
+  for (std::size_t i = 0; i < line.size(); ++i) pts.push_back(line.point(i));
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kTicks = 500;
+  const std::vector<Vec2> points =
+      cli::projection_workload(line, kTicks, kLanes);
+  ASSERT_EQ(points.size(), kTicks * kLanes);
+
+  std::vector<double> hints(kLanes, -1.0);
+  std::vector<double> batch_hints(kLanes, -1.0);
+  std::vector<Polyline::Projection> batched(kLanes);
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    line.project_many({points.data() + t * kLanes, kLanes}, batch_hints,
+                      batched);
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      const Vec2 p = points[t * kLanes + l];
+      const auto want = oracle_project(pts, p).proj;
+      const auto ref = line.project_reference(p);
+      const auto hinted = line.project(p, hints[l]);
+      EXPECT_EQ(ref.s, want.s) << "t=" << t << " lane=" << l;
+      EXPECT_EQ(ref.lateral, want.lateral) << "t=" << t << " lane=" << l;
+      EXPECT_EQ(hinted.s, ref.s) << "t=" << t << " lane=" << l;
+      EXPECT_EQ(hinted.lateral, ref.lateral) << "t=" << t << " lane=" << l;
+      EXPECT_EQ(batched[l].s, ref.s) << "t=" << t << " lane=" << l;
+      EXPECT_EQ(batched[l].lateral, ref.lateral) << "t=" << t << " lane=" << l;
+      hints[l] = hinted.s;
+      batch_hints[l] = batched[l].s;
+    }
   }
 }
 

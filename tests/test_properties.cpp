@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "attack/value_corruption.hpp"
 #include "can/packer.hpp"
@@ -24,6 +25,15 @@ struct SignalCase {
   bool is_signed;
   double factor;
 };
+
+// CTest names each discovered case after its printed parameter. Without a
+// printer gtest dumps the struct's raw bytes, uninitialised padding
+// included, so the test names would change from one build to the next.
+void PrintTo(const SignalCase& c, std::ostream* os) {
+  *os << "start" << c.start_bit << "_size" << c.size
+      << (c.order == can::ByteOrder::kBigEndian ? "_be" : "_le")
+      << (c.is_signed ? "_signed" : "_unsigned") << "_factor" << c.factor;
+}
 
 class SignalRoundTrip : public ::testing::TestWithParam<SignalCase> {};
 
@@ -120,6 +130,11 @@ struct GridCase {
   int scenario;
   double gap;
 };
+
+// Printed for the same reason as SignalCase: stable test names.
+void PrintTo(const GridCase& c, std::ostream* os) {
+  *os << "S" << c.scenario << "_gap" << c.gap;
+}
 
 class BaselineInvariants : public ::testing::TestWithParam<GridCase> {};
 

@@ -1,56 +1,21 @@
 #!/usr/bin/env python3
-"""Diff of benchmark trajectory points.
+"""Cell diff of scaa_campaign JSON reports.
 
-Usage: bench_diff.py [--strict] BASELINE FRESH [BASELINE FRESH ...]
+Usage: bench_diff.py BASELINE FRESH [BASELINE FRESH ...]
 
-Each argument pair is a committed BENCH_*.json baseline and a freshly
-emitted copy (scaa_campaign bench --format json). For every row (keyed by
-the first column: strategy or slice) the script prints the wall-clock /
-throughput delta, and flags any difference in the integer aggregate columns
-— those are seed-for-seed deterministic, so a change there is a behavioral
-regression, not timing noise.
-
-BENCH_table4.json also carries kernel rows ("Polyline::project" and
-"PubSubBus::publish"): there "simulations" is the fixed operation count
-and sims_per_s the kernel throughput (projections/s, publishes/s). The
-deterministic-column check applies to them unchanged — the op count
-drifting means the benchmark workload changed. "PubSubBus::publish" times
-the zero-copy typed dispatch path (six Latest latches, no raw tap) over
-the steady-state publish mix; bench_step's bus_publish_typed/tapped/
-legacy rows carry the same workload against the in-bench legacy bus.
-
-Timing columns (wall_s, throughput, parallel efficiency) NEVER gate:
-shared CI runners make them too noisy. Without --strict the script always
-exits 0 and the output lands in the benchmark artifact for human review.
-With --strict it exits 1 when a deterministic column drifts or a baseline
-row goes missing — those are code regressions, not noise — while NEW ROW
-(a row the baseline predates) stays a warning so adding a benchmark does
-not require a lockstep baseline update. Rows in NONDETERMINISTIC_ROWS
-(realtime_jitter: deadline-clock latency/jitter/overruns, all scheduler-
-dependent) are printed but never gate, even under --strict.
+Each argument pair is a committed report (a BENCH_*.json golden) and a
+freshly emitted copy (scaa_campaign <cmd> --format json). Every report is
+deterministic — same seed, same bytes — so the comparison is plain
+equality over the report name, the column list and every row, cell by
+cell. The script prints each difference (a changed cell, a column or row
+missing from either side) and exits 1 when any pair differs, 0 when all
+pairs are equal, and 2 on a usage error.
 """
 
 import json
 import sys
 
-TIMING_COLUMNS = {"wall_s", "sims_per_s", "points_per_s", "efficiency"}
-
-# Rows measuring an isolated kernel rather than a campaign slice, annotated
-# so a reader of the artifact does not misread ops/s as simulations/s.
-KERNEL_ROWS = {"Polyline::project", "PubSubBus::publish", "World::reset"}
-
-# Rows that run a campaign slice with benign fault injection attached (the
-# faults row: the attack-free grid under a mid-intensity CAN-drop plan).
-# Their aggregate columns are seed-for-seed deterministic and gate exactly
-# like the strategy rows; the annotation just tells the artifact reader the
-# numbers are expected to differ from the fault-free None row.
-FAULT_ROWS = {"faults"}
-
-# Rows whose every column is scheduler-dependent (the realtime_jitter row
-# reuses the integer aggregate columns for overrun counts and the float
-# columns for latency/jitter microseconds — all of it moves with machine
-# load). The whole row is advisory: printed, never gating, even --strict.
-NONDETERMINISTIC_ROWS = {"realtime_jitter"}
+MAX_LINES = 40  # differences printed per pair before summarizing the rest
 
 
 def load(path):
@@ -58,72 +23,67 @@ def load(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as exc:
-        print(f"  [skip] cannot load {path}: {exc}")
+        print(f"  cannot load {path}: {exc}")
         return None
 
 
+def row_label(row, index, key):
+    return f"row {index} ({row.get(key)})" if key in row else f"row {index}"
+
+
+def differences(baseline, fresh):
+    """Every difference between two reports, as printable lines."""
+    out = []
+    if baseline.get("report") != fresh.get("report"):
+        out.append(f"report {baseline.get('report')!r} -> {fresh.get('report')!r}")
+    base_cols = baseline.get("columns", [])
+    fresh_cols = fresh.get("columns", [])
+    if base_cols != fresh_cols:
+        out.append(f"columns {base_cols} -> {fresh_cols}")
+    key = base_cols[0] if base_cols else None
+    base_rows = baseline.get("rows", [])
+    fresh_rows = fresh.get("rows", [])
+    for i, (base, row) in enumerate(zip(base_rows, fresh_rows)):
+        label = row_label(base, i, key)
+        for col in base:
+            if col not in row:
+                out.append(f"{label}: {col} missing from fresh run")
+            elif base[col] != row[col]:
+                out.append(f"{label}: {col} {base[col]!r} -> {row[col]!r}")
+        for col in row:
+            if col not in base:
+                out.append(f"{label}: {col} not in baseline")
+    for i in range(len(fresh_rows), len(base_rows)):
+        out.append(f"{row_label(base_rows[i], i, key)}: missing from fresh run")
+    for i in range(len(base_rows), len(fresh_rows)):
+        out.append(f"{row_label(fresh_rows[i], i, key)}: not in baseline")
+    if not out and baseline != fresh:
+        out.append(f"top-level keys {sorted(baseline)} -> {sorted(fresh)}")
+    return out
+
+
 def diff_pair(baseline_path, fresh_path):
-    """Print the diff; return the number of gating (deterministic) failures."""
+    """Print the diff of one pair; return True when the reports are equal."""
     print(f"== {baseline_path} vs {fresh_path}")
     baseline = load(baseline_path)
     fresh = load(fresh_path)
     if baseline is None or fresh is None:
-        return 1
-    failures = 0
-    key = baseline["columns"][0]
-    base_rows = {row[key]: row for row in baseline["rows"]}
-    for row in fresh["rows"]:
-        name = row[key]
-        base = base_rows.get(name)
-        if base is None:
-            print(f"  {name}: NEW ROW (not in committed baseline)")
-            continue
-        deltas = []
-        drift = []
-        advisory = name in NONDETERMINISTIC_ROWS
-        for col, value in row.items():
-            if col == key or col not in base:
-                continue
-            if col in TIMING_COLUMNS or advisory:
-                if isinstance(value, (int, float)) and isinstance(base[col], (int, float)):
-                    # Always print the pair; a 0.0 baseline only suppresses
-                    # the percentage (division), never the comparison.
-                    pct = f" ({100.0 * (value - base[col]) / base[col]:+.1f}%)" if base[col] else ""
-                    deltas.append(f"{col} {base[col]:.3f} -> {value:.3f}{pct}")
-            elif base[col] != value:
-                drift.append(f"{col} {base[col]} -> {value}")
-        line = "; ".join(deltas) if deltas else "no timing columns"
-        tag = " [kernel row: ops and ops/s]" if name in KERNEL_ROWS else ""
-        if name in FAULT_ROWS:
-            tag += " [fault-injection row: aggregates still gate]"
-        if advisory:
-            tag += " [nondeterministic row: advisory only]"
-        print(f"  {name}: {line}{tag}")
-        if drift:
-            print(f"  {name}: DETERMINISTIC COLUMNS DIFFER: {'; '.join(drift)}")
-            failures += 1
-    for name in base_rows:
-        if not any(row[key] == name for row in fresh["rows"]):
-            print(f"  {name}: MISSING from fresh run")
-            failures += 1
-    return failures
+        return False
+    diff = differences(baseline, fresh)
+    for line in diff[:MAX_LINES]:
+        print(f"  {line}")
+    if len(diff) > MAX_LINES:
+        print(f"  ... and {len(diff) - MAX_LINES} more")
+    print(f"  {len(diff)} difference(s)" if diff else "  identical")
+    return not diff
 
 
 def main(argv):
-    strict = False
-    if argv and argv[0] == "--strict":
-        strict = True
-        argv = argv[1:]
     if len(argv) < 2 or len(argv) % 2 != 0:
         print(__doc__)
-        return 0
-    failures = 0
-    for i in range(0, len(argv), 2):
-        failures += diff_pair(argv[i], argv[i + 1])
-    if failures and strict:
-        print(f"bench_diff: {failures} deterministic failure(s) (--strict)")
-        return 1
-    return 0
+        return 2
+    equal = [diff_pair(argv[i], argv[i + 1]) for i in range(0, len(argv), 2)]
+    return 0 if all(equal) else 1
 
 
 if __name__ == "__main__":

@@ -84,8 +84,7 @@ RULES = (
 
 # Blessed entropy/wall-clock layers: the RNG seeding implementation, the
 # deadline clock (the real-time executor's pacing source — its clock values
-# never enter the simulation), and the CLI (wall-clock timing for bench
-# wall_s columns, seeds from argv).
+# never enter the simulation), and the CLI (seeds from argv).
 NONDET_BLESSED = ("src/cli/", "src/util/rng.", "src/util/deadline_clock.")
 
 # Paths whose loops feed deterministic aggregates, serialized bytes, or

@@ -14,8 +14,8 @@
 #      it must forward the signal, reap every worker (no orphans holding
 #      slice flocks), and leave the checkpoint immediately resumable,
 #   3. `scaa_campaign merge` folding the per-shard checkpoint slices.
-# The merged report is additionally diffed with bench_diff.py --strict,
-# which exits non-zero on any deterministic-column drift. A final case
+# The merged report is additionally diffed with bench_diff.py, which
+# exits non-zero on any cell that differs. A final case
 # splices a slice written under a fault-injection plan (`scaa_campaign
 # faults --fault-plan ...`) over one fault-free shard slice and asserts
 # the merge refuses the mix with a fingerprint mismatch — fault plans are
@@ -132,10 +132,9 @@ cmp "$WORK/ref.json" "$WORK/merged.json"
 echo "shard_smoke: merge subcommand output byte-identical to single process"
 
 if command -v python3 >/dev/null 2>&1; then
-  python3 "$TOOLS_DIR/bench_diff.py" --strict \
-    "$WORK/ref.json" "$WORK/merged.json"
+  python3 "$TOOLS_DIR/bench_diff.py" "$WORK/ref.json" "$WORK/merged.json"
 else
-  echo "shard_smoke: python3 not found; skipping bench_diff --strict check"
+  echo "shard_smoke: python3 not found; skipping the bench_diff check"
 fi
 
 echo "shard_smoke: foreign fault-plan slice must be rejected by merge"
