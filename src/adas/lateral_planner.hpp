@@ -24,8 +24,7 @@ struct LateralPlannerConfig {
 
   /// Nonlinear lane-edge authority: extra restoring gain once the car
   /// strays past `edge_start` from centre. Must stay modest — combined
-  /// with actuator lag a steep wall destabilizes the loop (kept as an
-  /// ablation knob; see bench_ablation).
+  /// with actuator lag a steep wall destabilizes the loop.
   double edge_start = 0.75;       ///< [m] where the extra gain kicks in
   double edge_gain = 0.016;       ///< [1/m^2] extra curvature per metre beyond
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <sstream>
 
 namespace scaa::cli {
@@ -144,13 +143,6 @@ void ArgParser::assign(const std::string& name, Flag& flag,
   flag.provided = true;
 }
 
-void ArgParser::parse(int argc, char* const* argv) {
-  std::vector<std::string> tokens;
-  tokens.reserve(argc > 1 ? static_cast<std::size_t>(argc - 1) : 0);
-  for (int i = 1; i < argc; ++i) tokens.emplace_back(argv[i]);
-  parse_tokens(tokens);
-}
-
 void ArgParser::parse_tokens(const std::vector<std::string>& tokens) {
   for (std::size_t i = 0; i < tokens.size(); ++i) {
     const std::string& token = tokens[i];
@@ -229,20 +221,6 @@ const std::string& ArgParser::get_string(const std::string& name) const {
 
 bool ArgParser::get_bool(const std::string& name) const {
   return lookup(name, Kind::kBool).bool_value;
-}
-
-int ArgParser::parse_or_exit_code(int argc, char* const* argv) {
-  try {
-    parse(argc, argv);
-  } catch (const ArgError& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), usage().c_str());
-    return 2;
-  }
-  if (help_requested_) {
-    std::fprintf(stdout, "%s", usage().c_str());
-    return 0;
-  }
-  return -1;
 }
 
 std::string ArgParser::usage() const {

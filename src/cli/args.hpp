@@ -29,15 +29,15 @@ class ArgError : public std::runtime_error {
 
 /// Declarative flag table + strict parser.
 ///
-///   ArgParser args("bench_ablation", "Context-Aware ingredient ablation");
-///   args.add_int("--reps", 20, "repetitions per grid cell");
+///   ArgParser args("scaa_campaign table4", "Table IV");
+///   args.add_int("--reps", 1, "repetitions per grid cell");
 ///   args.add_int("--threads", 0, "worker threads (0 = hardware)");
-///   args.parse(argc, argv);                 // throws ArgError on bad input
-///   const int reps = args.get_int("--reps");
+///   args.parse_tokens(tokens);              // throws ArgError on bad input
+///   const long long reps = args.get_int("--reps");
 ///
 /// Both `--flag value` and `--flag=value` spellings are accepted. `--help`
-/// is always recognized; after parse(), help_requested() tells the caller to
-/// print usage() and exit 0.
+/// is always recognized; after parse_tokens(), help_requested() tells the
+/// caller to print usage() and exit 0.
 class ArgParser {
  public:
   ArgParser(std::string program, std::string description);
@@ -71,12 +71,9 @@ class ArgParser {
   /// Declare a boolean flag (present = true; takes no value).
   ArgParser& add_bool(const std::string& name, const std::string& help);
 
-  /// Parse the full argv. Throws ArgError on: an undeclared flag, a missing
-  /// value, a malformed number, a choice outside its set, or a stray
-  /// positional token.
-  void parse(int argc, char* const* argv);
-
-  /// Testing convenience: parse pre-split tokens (argv[1..]).
+  /// Parse pre-split tokens (argv[1..]). Throws ArgError on: an undeclared
+  /// flag, a missing value, a malformed number, a choice outside its set,
+  /// or a stray positional token.
   void parse_tokens(const std::vector<std::string>& tokens);
 
   /// True when --help appeared anywhere on the command line.
@@ -93,11 +90,6 @@ class ArgParser {
 
   /// Render the usage/help text.
   std::string usage() const;
-
-  /// Convenience for binary mains: parse argv; on malformed input print the
-  /// error plus usage to stderr and return 2; on --help print usage to
-  /// stdout and return 0; otherwise return -1 (meaning: keep going).
-  int parse_or_exit_code(int argc, char* const* argv);
 
  private:
   enum class Kind { kInt, kUint, kDouble, kString, kBool };

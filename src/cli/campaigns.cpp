@@ -63,17 +63,6 @@ void note(std::ostream* progress, const std::string& line) {
   if (progress) *progress << line << "\n" << std::flush;
 }
 
-/// The single options -> CampaignConfig mapping: every campaign entry
-/// point goes through here, so a future config knob cannot be wired in one
-/// subcommand and silently dropped in another.
-exp::CampaignConfig campaign_config(const CampaignOptions& options) {
-  exp::CampaignConfig cc;
-  cc.threads = options.threads;
-  cc.base_seed = options.seed;
-  cc.repetitions = options.reps;
-  return cc;
-}
-
 /// Open the checkpoint for one slice (Checkpoint selects the mode:
 /// exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
 /// for table5's per-item pairing); null when checkpointing is off. Notes
@@ -129,6 +118,14 @@ std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
 }
 
 }  // namespace
+
+exp::CampaignConfig campaign_config(const CampaignOptions& options) {
+  exp::CampaignConfig cc;
+  cc.threads = options.threads;
+  cc.base_seed = options.seed;
+  cc.repetitions = options.reps;
+  return cc;
+}
 
 std::string slice_slug(const std::string& name) {
   std::string slug;
@@ -970,6 +967,14 @@ const std::vector<CampaignCommand>& campaign_commands() {
        "off vs. on (--fault-plan FILE runs a custom plan instead of the "
        "sweep)",
        &faults_report},
+      {"ablation", "Sec. V study",
+       "Context-Aware ingredient ablation (variants A-D) and driver "
+       "reaction-time sweep",
+       &ablation_report},
+      {"defense", "Sec. V study",
+       "control-invariant detector + context-aware monitor vs. the attacks, "
+       "with false alarms on attack-free drives",
+       &defense_report},
       {"merge", "Table IV",
        "fold per-shard table4 checkpoint slices (--shards/--shard runs) "
        "into the exact Table IV report, byte-identical to a single-process "
@@ -1052,8 +1057,9 @@ int run_campaign_command(const std::string& name,
   if (cmd->run == &fig7_report)
     args.add_int("--decimate", 10, "keep every n-th trace row (1 = all)", 1,
                  1000000);
-  // Long-running grid campaigns checkpoint per chunk; fig7/fig8 are either
-  // instant or a different workload shape, so they don't take the flags.
+  // Long-running grid campaigns checkpoint per chunk. fig7 is one
+  // simulation, and fig8 and the studies run simulate hooks the checkpoint
+  // fingerprint cannot see, so they don't take the flags.
   const bool checkpointable =
       cmd->run == &table4_report || cmd->run == &table5_report ||
       cmd->run == &faults_report;
@@ -1061,7 +1067,7 @@ int run_campaign_command(const std::string& name,
   const bool is_merge = cmd->run == &table4_merge_report;
   const bool is_run = cmd->run == &run_report;
   // Only the fault-aware workloads take --fault-plan: the paper tables
-  // (table4/table5/fig7/fig8) and the table4 merge must stay
+  // (table4/table5/fig7/fig8), the studies and the table4 merge must stay
   // seed-for-seed identical to the published baselines, so ArgParser's
   // unknown-flag rejection turns a stray --fault-plan there into a clean
   // exit-2 usage error instead of a silently different experiment.

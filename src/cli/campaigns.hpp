@@ -1,11 +1,12 @@
 #pragma once
 
 /// @file campaigns.hpp
-/// The paper's campaigns (Table IV, Table V, Fig. 7, Fig. 8) as reusable
-/// functions: each builds the experiment grid via exp::make_grid /
-/// exp::run_param_space, runs it on the exp::ThreadPool, and returns a
-/// cli::Report. scaa_campaign's subcommands and the tests both call these,
-/// so the CLI binary itself is a thin dispatch shell.
+/// The paper's campaigns (Table IV, Table V, Fig. 7, Fig. 8) and the §V
+/// studies (ablation, defense; cli/studies.cpp) as reusable functions: each
+/// builds its experiment grid, runs it through exp::run_campaign or
+/// exp::run_campaign_streaming, and returns a cli::Report. scaa_campaign's
+/// subcommands and the tests both call these, so the CLI binary itself is a
+/// thin dispatch shell.
 
 #include <cstdint>
 #include <iosfwd>
@@ -125,6 +126,11 @@ struct CampaignOptions {
                             ///< its built-in sweep, run injects nothing
 };
 
+/// The single options -> CampaignConfig mapping: every campaign entry
+/// point goes through here, so a future config knob cannot be wired in one
+/// subcommand and silently dropped in another.
+exp::CampaignConfig campaign_config(const CampaignOptions& options);
+
 /// Filesystem-safe slice token: "Random-ST+DUR" -> "random-st-dur".
 std::string slice_slug(const std::string& name);
 
@@ -221,6 +227,22 @@ Report fig8_report(const CampaignOptions& options, std::ostream* progress);
 /// never be confused and a resumed cell is bit-identical to an
 /// uninterrupted one.
 Report faults_report(const CampaignOptions& options, std::ostream* progress);
+
+/// `scaa_campaign ablation` (beyond the paper, motivated by its §V): which
+/// ingredient of the Context-Aware attack buys what. "ingredient" rows run
+/// variants A (full Context-Aware), B (context trigger, random duration =
+/// Random-DUR), C (random trigger, reaction-length duration = Random-ST)
+/// and D (A's timing with fixed values) at the default driver reaction
+/// time; "reaction" rows rerun A across driver reaction times 1.0-3.5 s.
+Report ablation_report(const CampaignOptions& options, std::ostream* progress);
+
+/// `scaa_campaign defense` (the paper's §V future work): the
+/// control-invariant detector and the context-aware monitor, attached to
+/// every simulation through a defense::DefenseHarness, against Random-ST
+/// and Context-Aware attacks. Detection rates are over runs whose attack
+/// activated; false alarms are alarms on runs without an activated attack,
+/// and the attack-free No Attacks row is the false-positive check.
+Report defense_report(const CampaignOptions& options, std::ostream* progress);
 
 /// `scaa_campaign run`: one simulation through the single-sim executor,
 /// free-running by default or deadline-clocked with --realtime. The report

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <stdexcept>
 #include <string>
 
 #include "exp/checkpoint.hpp"
+#include "exp/thread_pool.hpp"
 #include "road/builder.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -86,27 +88,58 @@ sim::WorldConfig world_config_for(const CampaignItem& item,
 
 namespace {
 
-/// Captures the first checkpoint-commit failure from a worker thread so the
-/// runner can abort outstanding work and rethrow once the pool drains
-/// (letting an exception escape a pool task would terminate the process).
-struct CommitErrors {
+/// The first exception thrown by any chunk task. Workers poll `failed` to
+/// skip the chunks not yet started; the runner rethrows once the pool has
+/// drained, because an exception escaping a pool task would terminate the
+/// process.
+struct FirstError {
   util::Mutex mutex;
-  std::string first SCAA_GUARDED_BY(mutex);
+  std::exception_ptr first SCAA_GUARDED_BY(mutex);
   std::atomic<bool> failed{false};
 
-  void capture(const std::exception& e) SCAA_EXCLUDES(mutex) {
+  void capture(std::exception_ptr e) SCAA_EXCLUDES(mutex) {
     const util::MutexLock lock(mutex);
-    if (first.empty()) first = e.what();
+    if (!first) first = std::move(e);
     failed.store(true, std::memory_order_release);
   }
-  void rethrow_if_failed() SCAA_EXCLUDES(mutex) {
-    if (!failed.load(std::memory_order_acquire)) return;
-    // The pool has drained by the time this runs, but take the lock anyway:
-    // `first` is guarded, and an uncontended lock costs nothing here.
+  std::exception_ptr take() SCAA_EXCLUDES(mutex) {
     const util::MutexLock lock(mutex);
-    throw CheckpointError(first);
+    return first;
   }
 };
+
+/// The one chunk loop behind both runners, and the only ThreadPool in the
+/// campaign layer: runs @p run_chunk(c) for every chunk index in @p chunks
+/// on @p threads workers. The first exception a chunk throws stops the
+/// chunks not yet started and is rethrown after the pool drains.
+void run_chunks(std::size_t threads, const std::vector<std::size_t>& chunks,
+                const std::function<void(std::size_t)>& run_chunk) {
+  FirstError error;
+  {
+    ThreadPool pool(threads);
+    for (const std::size_t c : chunks) {
+      pool.submit([&run_chunk, &error, c] {
+        if (error.failed.load(std::memory_order_acquire)) return;
+        try {
+          run_chunk(c);
+        } catch (...) {
+          error.capture(std::current_exception());
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  if (const std::exception_ptr e = error.take()) std::rethrow_exception(e);
+}
+
+std::size_t chunk_count(std::size_t items) {
+  return (items + kCampaignChunk - 1) / kCampaignChunk;
+}
+
+/// One past the last item of chunk @p c in a grid of @p items.
+std::size_t chunk_end(std::size_t c, std::size_t items) {
+  return std::min(items, (c + 1) * kCampaignChunk);
+}
 
 /// Progress bookkeeping shared by the streaming runner's workers: the
 /// cumulative completed-simulation count and the user callback invocation
@@ -129,8 +162,8 @@ struct ProgressCounter {
 };
 
 /// One campaign item, simulated in its own fresh World stepped alone.
-sim::SimulationSummary simulate(const CampaignItem& item,
-                                const WorldAssets& assets) {
+sim::SimulationSummary simulate_fresh(const CampaignItem& item,
+                                      const WorldAssets& assets) {
   return sim::World(world_config_for(item, assets)).run();
 }
 
@@ -138,7 +171,12 @@ sim::SimulationSummary simulate(const CampaignItem& item,
 
 std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
                                          const CampaignConfig& config,
-                                         ResultsCheckpoint* checkpoint) {
+                                         ResultsCheckpoint* checkpoint,
+                                         const SimulateFn& simulate) {
+  if (simulate && checkpoint != nullptr)
+    throw std::invalid_argument(
+        "run_campaign: a simulate hook cannot be combined with a checkpoint "
+        "(the grid fingerprint cannot see what the hook changes)");
   std::vector<CampaignResult> results(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) results[i].item = items[i];
   const WorldAssets assets = WorldAssets::make_default();
@@ -147,30 +185,19 @@ std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
   // Results are materialized by index, so granularity cannot change the
   // outcome — only how work restores and commits.
   if (checkpoint != nullptr) checkpoint->restore_into(results);
-  const std::size_t n_chunks =
-      (items.size() + kCampaignChunk - 1) / kCampaignChunk;
-  CommitErrors errors;
-  {
-    ThreadPool pool(config.threads);
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-      if (checkpoint != nullptr && checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &results, &assets, checkpoint, &errors, c] {
-        if (errors.failed.load(std::memory_order_acquire)) return;
-        const std::size_t begin = c * kCampaignChunk;
-        const std::size_t end = std::min(items.size(), begin + kCampaignChunk);
-        for (std::size_t i = begin; i < end; ++i)
-          results[i].summary = simulate(items[i], assets);
-        if (checkpoint == nullptr) return;
-        try {
-          checkpoint->commit(c, results.data() + begin, end - begin);
-        } catch (const std::exception& e) {
-          errors.capture(e);
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  errors.rethrow_if_failed();
+  std::vector<std::size_t> pending;
+  for (std::size_t c = 0; c < chunk_count(items.size()); ++c)
+    if (checkpoint == nullptr || !checkpoint->chunk_complete(c))
+      pending.push_back(c);
+  run_chunks(config.threads, pending, [&](std::size_t c) {
+    const std::size_t begin = c * kCampaignChunk;
+    const std::size_t end = chunk_end(c, items.size());
+    for (std::size_t i = begin; i < end; ++i)
+      results[i].summary =
+          simulate ? simulate(i, assets) : simulate_fresh(items[i], assets);
+    if (checkpoint != nullptr)
+      checkpoint->commit(c, results.data() + begin, end - begin);
+  });
   return results;
 }
 
@@ -273,8 +300,7 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
                                  CampaignCheckpoint* checkpoint,
                                  const ChunkRange* chunks) {
   const WorldAssets assets = WorldAssets::make_default();
-  const std::size_t n_chunks =
-      (items.size() + kCampaignChunk - 1) / kCampaignChunk;
+  const std::size_t n_chunks = chunk_count(items.size());
 
   // The chunk range this call owns: the whole grid, or a shard's slice
   // (clamped so an oversized range is harmless).
@@ -283,8 +309,7 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
   const std::size_t range_end =
       chunks != nullptr ? std::min(chunks->end_chunk, n_chunks) : n_chunks;
   const auto chunk_items = [&](std::size_t c) {
-    return std::min(items.size(), (c + 1) * kCampaignChunk) -
-           c * kCampaignChunk;
+    return chunk_end(c, items.size()) - c * kCampaignChunk;
   };
   std::size_t range_items = 0;
   for (std::size_t c = range_begin; c < range_end; ++c)
@@ -302,49 +327,32 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
   // never recomputed, and the first progress callback accounts for them.
   // Only in-range chunks count — a shard worker reports its slice alone.
   std::size_t restored = 0;
-  if (checkpoint != nullptr) {
-    for (std::size_t c = range_begin; c < range_end; ++c) {
-      if (!checkpoint->chunk_complete(c)) continue;
+  std::vector<std::size_t> pending;
+  for (std::size_t c = range_begin; c < range_end; ++c) {
+    if (checkpoint != nullptr && checkpoint->chunk_complete(c)) {
       partials[c].acc = checkpoint->restored(c);
       restored += chunk_items(c);
+    } else {
+      pending.push_back(c);
     }
-    if (progress && restored > 0)
-      progress(CampaignProgress{restored, range_items});
   }
+  if (progress && restored > 0)
+    progress(CampaignProgress{restored, range_items});
 
   ProgressCounter counter;
   counter.start_at(restored);
-  CommitErrors errors;
-  {
-    ThreadPool pool(config.threads);
-    for (std::size_t c = range_begin; c < range_end; ++c) {
-      if (checkpoint != nullptr && checkpoint->chunk_complete(c)) continue;
-      pool.submit([&items, &assets, &partials, &progress, &counter,
-                   checkpoint, &errors, c, range_items] {
-        if (errors.failed.load(std::memory_order_acquire)) return;
-        const std::size_t begin = c * kCampaignChunk;
-        const std::size_t end =
-            std::min(items.size(), begin + kCampaignChunk);
-        // Fold in item order within the chunk — the same order the
-        // sequential reduction uses.
-        for (std::size_t i = begin; i < end; ++i)
-          partials[c].acc.add(simulate(items[i], assets));
-        // Commit before reporting progress: a chunk only ever counts as
-        // done once it is durable.
-        if (checkpoint != nullptr) {
-          try {
-            checkpoint->commit(c, partials[c].acc);
-          } catch (const std::exception& e) {
-            errors.capture(e);
-            return;
-          }
-        }
-        if (progress) counter.advance(end - begin, range_items, progress);
-      });
-    }
-    pool.wait_idle();
-  }
-  errors.rethrow_if_failed();
+  run_chunks(config.threads, pending, [&](std::size_t c) {
+    const std::size_t begin = c * kCampaignChunk;
+    const std::size_t end = chunk_end(c, items.size());
+    // Fold in item order within the chunk — the same order the sequential
+    // reduction uses.
+    for (std::size_t i = begin; i < end; ++i)
+      partials[c].acc.add(simulate_fresh(items[i], assets));
+    // Commit before reporting progress: a chunk only ever counts as done
+    // once it is durable.
+    if (checkpoint != nullptr) checkpoint->commit(c, partials[c].acc);
+    if (progress) counter.advance(end - begin, range_items, progress);
+  });
 
   // Merge in chunk order: the fixed order is what makes the result
   // independent of which worker ran which chunk — and, with a checkpoint,

@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "exp/thread_pool.hpp"
 #include "sim/world.hpp"
 #include "util/stats.hpp"
 
@@ -106,15 +105,32 @@ struct ChunkRange {
   }
 };
 
+/// Per-item simulation hook for run_campaign: the item's index into the
+/// grid and the campaign's shared assets in, that item's summary out. It is
+/// called concurrently from pool workers, once per item, so whatever it
+/// writes besides its return value must go to a slot owned by that index.
+using SimulateFn = std::function<sim::SimulationSummary(
+    std::size_t index, const WorldAssets& assets)>;
+
 /// Run every item, each in its own freshly constructed World; results are
 /// returned in item order (deterministic). Work is submitted in
 /// kCampaignChunk chunks. With a @p checkpoint (may be null), chunks the
 /// checkpoint already holds are restored instead of recomputed, and every
 /// freshly finished chunk is durably committed, so a killed run resumes
 /// where it left off with bit-identical results.
+///
+/// A non-empty @p simulate replaces the default per-item run, a fresh
+/// `World(world_config_for(item, assets)).run()`: it may adjust the
+/// WorldConfig (a forced attack window, the driver's reaction time) or
+/// attach a detector to the World. grid_fingerprint cannot see what a hook
+/// does, so a hook together with a @p checkpoint throws
+/// std::invalid_argument. The first exception any item throws — from the
+/// hook, the simulation or a commit — stops the chunks not yet started and
+/// is rethrown once the pool has drained.
 std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
                                          const CampaignConfig& config,
-                                         ResultsCheckpoint* checkpoint = nullptr);
+                                         ResultsCheckpoint* checkpoint = nullptr,
+                                         const SimulateFn& simulate = {});
 
 /// Aggregate counters over a set of results (one Table IV row).
 struct Aggregate {
@@ -202,8 +218,9 @@ using CampaignProgressFn = std::function<void(const CampaignProgress&)>;
 /// atomic append — before it reports progress. Because restored and
 /// recomputed partials merge in the same fixed chunk order, a run that is
 /// killed and resumed any number of times returns an Aggregate bit-identical
-/// to an uninterrupted run, at any thread count. A commit failure (e.g. disk
-/// full) aborts outstanding work and rethrows after the pool drains.
+/// to an uninterrupted run, at any thread count. A failure (a commit, e.g.
+/// disk full, or a simulation) stops the chunks not yet started and is
+/// rethrown after the pool drains.
 ///
 /// With a @p chunks range (may be null = the whole grid), only the chunks
 /// in [begin_chunk, end_chunk) are restored, run, folded, and counted: this

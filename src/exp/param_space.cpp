@@ -1,120 +1,92 @@
 #include "exp/param_space.hpp"
 
 #include <algorithm>
-#include <ostream>
 
-#include "util/csv.hpp"
 #include "util/rng.hpp"
 
 namespace scaa::exp {
 
 namespace {
 
-/// Run one simulation with an optional forced attack window; returns the
-/// realized (start, duration, hazardous) triple.
-ParamSpacePoint run_point(const ParamSpaceConfig& cfg,
-                          const WorldAssets& assets,
-                          attack::StrategyKind strategy, double forced_start,
-                          double forced_duration, std::uint64_t seed) {
-  CampaignItem item;
-  item.strategy = strategy;
-  item.type = cfg.type;
-  item.strategic_values = strategy == attack::StrategyKind::kContextAware;
-  item.driver_enabled = true;
-  item.scenario_id = cfg.scenario_id;
-  item.initial_gap = cfg.initial_gap;
-  item.seed = seed;
+// The swept space: one attack type on one scenario, and the start-time x
+// duration grid of the Random-ST+DUR background cloud.
+constexpr attack::AttackType kType = attack::AttackType::kAcceleration;
+constexpr int kScenarioId = 1;
+constexpr double kInitialGap = 100.0;
+constexpr int kGridStarts = 31;
+constexpr int kGridDurations = 9;
+constexpr double kMinStart = 5.0, kMaxStart = 35.0;
+constexpr double kMinDuration = 0.5, kMaxDuration = 2.5;
 
-  sim::WorldConfig wc = world_config_for(item, assets);
-  wc.attack.strategy_params.forced_start = forced_start;
-  wc.attack.strategy_params.forced_duration = forced_duration;
-
-  sim::World world(std::move(wc));
-  const sim::SimulationSummary s = world.run();
-
-  ParamSpacePoint point;
-  point.strategy = strategy;
-  point.start_time = s.attack_start >= 0.0
-                         ? s.attack_start
-                         : (forced_start >= 0.0 ? forced_start : -1.0);
-  point.duration =
-      s.attack_duration > 0.0 ? s.attack_duration : forced_duration;
-  point.hazardous = s.any_hazard;
-  return point;
-}
+/// A forced attack window; negative fields leave the strategy's own timing.
+struct Window {
+  double start = -1.0;
+  double duration = -1.0;
+};
 
 }  // namespace
 
 std::vector<ParamSpacePoint> run_param_space(const ParamSpaceConfig& cfg) {
-  struct Job {
-    attack::StrategyKind strategy;
-    double start;
-    double duration;
-    std::uint64_t seed;
+  std::vector<CampaignItem> items;
+  std::vector<Window> windows;
+  std::uint64_t sm = cfg.base_seed;
+  const auto add = [&](attack::StrategyKind strategy, Window window) {
+    CampaignItem item;
+    item.strategy = strategy;
+    item.type = kType;
+    item.strategic_values = strategy == attack::StrategyKind::kContextAware;
+    item.driver_enabled = true;
+    item.scenario_id = kScenarioId;
+    item.initial_gap = kInitialGap;
+    item.seed = util::splitmix64(sm);
+    items.push_back(item);
+    windows.push_back(window);
   };
-  std::vector<Job> jobs;
 
   // Background grid: deterministic Random-ST+DUR windows.
-  std::uint64_t sm = cfg.base_seed;
-  for (int i = 0; i < cfg.grid_starts; ++i) {
-    const double t = cfg.grid_starts > 1
-                         ? static_cast<double>(i) / (cfg.grid_starts - 1)
-                         : 0.0;
-    const double start = cfg.min_start + t * (cfg.max_start - cfg.min_start);
-    for (int j = 0; j < cfg.grid_durations; ++j) {
-      const double u = cfg.grid_durations > 1
-                           ? static_cast<double>(j) / (cfg.grid_durations - 1)
-                           : 0.0;
-      const double dur =
-          cfg.min_duration + u * (cfg.max_duration - cfg.min_duration);
-      jobs.push_back({attack::StrategyKind::kRandomStDur, start, dur,
-                      util::splitmix64(sm)});
+  for (int i = 0; i < kGridStarts; ++i) {
+    const double t = static_cast<double>(i) / (kGridStarts - 1);
+    const double start = kMinStart + t * (kMaxStart - kMinStart);
+    for (int j = 0; j < kGridDurations; ++j) {
+      const double u = static_cast<double>(j) / (kGridDurations - 1);
+      add(attack::StrategyKind::kRandomStDur,
+          {start, kMinDuration + u * (kMaxDuration - kMinDuration)});
     }
   }
   // Overlays: Random-ST (fixed duration), Random-DUR and Context-Aware
   // use their own stochastic/contextual timing.
   for (int r = 0; r < cfg.overlay_runs; ++r) {
-    jobs.push_back({attack::StrategyKind::kRandomSt, -1.0, -1.0,
-                    util::splitmix64(sm)});
-    jobs.push_back({attack::StrategyKind::kRandomDur, -1.0, -1.0,
-                    util::splitmix64(sm)});
-    jobs.push_back({attack::StrategyKind::kContextAware, -1.0, -1.0,
-                    util::splitmix64(sm)});
+    add(attack::StrategyKind::kRandomSt, {});
+    add(attack::StrategyKind::kRandomDur, {});
+    add(attack::StrategyKind::kContextAware, {});
   }
 
-  std::vector<ParamSpacePoint> points(jobs.size());
-  const WorldAssets assets = WorldAssets::make_default();
-  ThreadPool pool(cfg.threads);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    pool.submit([&cfg, &assets, &jobs, &points, i] {
-      const Job& job = jobs[i];
-      points[i] = run_point(cfg, assets, job.strategy, job.start, job.duration,
-                            job.seed);
-    });
-  }
-  pool.wait_idle();
+  CampaignConfig cc;
+  cc.threads = cfg.threads;
+  const std::vector<CampaignResult> results = run_campaign(
+      items, cc, /*checkpoint=*/nullptr,
+      [&items, &windows](std::size_t i, const WorldAssets& assets) {
+        sim::WorldConfig wc = world_config_for(items[i], assets);
+        wc.attack.strategy_params.forced_start = windows[i].start;
+        wc.attack.strategy_params.forced_duration = windows[i].duration;
+        return sim::World(std::move(wc)).run();
+      });
 
-  // Drop overlay runs whose attack never activated (no point to plot).
-  points.erase(std::remove_if(points.begin(), points.end(),
-                              [](const ParamSpacePoint& p) {
-                                return p.start_time < 0.0;
-                              }),
-               points.end());
+  // Report the realized window; drop overlay runs whose attack never
+  // activated (no point to plot).
+  std::vector<ParamSpacePoint> points;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const sim::SimulationSummary& s = results[i].summary;
+    ParamSpacePoint point;
+    point.strategy = items[i].strategy;
+    point.start_time = s.attack_start >= 0.0 ? s.attack_start
+                                             : windows[i].start;
+    point.duration =
+        s.attack_duration > 0.0 ? s.attack_duration : windows[i].duration;
+    point.hazardous = s.any_hazard;
+    if (point.start_time >= 0.0) points.push_back(point);
+  }
   return points;
-}
-
-void write_param_space_csv(const std::vector<ParamSpacePoint>& points,
-                           std::ostream& out) {
-  util::CsvWriter csv(out);
-  csv.header({"strategy", "start_time", "duration", "hazardous"});
-  for (const auto& p : points) {
-    csv.row()
-        .cell(attack::to_string(p.strategy))
-        .cell(p.start_time)
-        .cell(p.duration)
-        .cell(p.hazardous);
-    csv.end_row();
-  }
 }
 
 double estimate_critical_time(const std::vector<ParamSpacePoint>& points) {

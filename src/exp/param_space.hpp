@@ -3,7 +3,6 @@
 /// @file param_space.hpp
 /// Fig. 8: attack start-time x duration parameter-space exploration.
 
-#include <iosfwd>
 #include <vector>
 
 #include "exp/campaign.hpp"
@@ -18,15 +17,10 @@ struct ParamSpacePoint {
   bool hazardous = false;
 };
 
-/// Sweep configuration for the Fig. 8 reproduction.
+/// Sweep configuration for the Fig. 8 reproduction. The swept space itself
+/// (Acceleration attacks in scenario S1 at a 100 m gap, a 31 x 9 grid of
+/// windows starting in [5, 35] s and lasting [0.5, 2.5] s) is fixed.
 struct ParamSpaceConfig {
-  attack::AttackType type = attack::AttackType::kAcceleration;
-  int scenario_id = 1;
-  double initial_gap = 100.0;
-  int grid_starts = 31;     ///< start-time grid for the background sweep
-  int grid_durations = 9;   ///< duration grid
-  double min_start = 5.0, max_start = 35.0;
-  double min_duration = 0.5, max_duration = 2.5;
   int overlay_runs = 20;    ///< runs per overlay strategy
   std::uint64_t base_seed = 88;
   std::size_t threads = 0;
@@ -36,10 +30,6 @@ struct ParamSpaceConfig {
 /// Random-ST+DUR cloud) plus Random-ST / Random-DUR / Context-Aware
 /// overlays, each point labelled hazardous or not.
 std::vector<ParamSpacePoint> run_param_space(const ParamSpaceConfig& config);
-
-/// Write points as CSV (strategy,start,duration,hazardous).
-void write_param_space_csv(const std::vector<ParamSpacePoint>& points,
-                           std::ostream& out);
 
 /// Estimate the critical start time: the earliest start time whose grid
 /// points (at the longest duration) become hazardous. Returns a negative

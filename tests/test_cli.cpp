@@ -165,7 +165,8 @@ TEST(Report, FormatRoundTrip) {
 }
 
 TEST(Campaigns, RegistryCoversThePaperArtifacts) {
-  for (const char* name : {"table4", "table5", "fig7", "fig8", "run"}) {
+  for (const char* name :
+       {"table4", "table5", "fig7", "fig8", "run", "ablation", "defense"}) {
     const auto* cmd = cli::find_campaign_command(name);
     ASSERT_NE(cmd, nullptr) << name;
     EXPECT_FALSE(cmd->paper_ref.empty());
@@ -235,10 +236,13 @@ TEST(Campaigns, ResumeRequiresCheckpointPath) {
 }
 
 TEST(Campaigns, CheckpointFlagsOnlyOnGridCampaigns) {
-  // fig7 is a single simulation; it must not advertise --checkpoint.
-  std::ostringstream out, err;
-  EXPECT_EQ(cli::run_campaign_command("fig7", {"--help"}, out, err), 0);
-  EXPECT_EQ(out.str().find("--checkpoint"), std::string::npos);
+  // fig7 is a single simulation, and the studies run simulate hooks the
+  // checkpoint fingerprint cannot see; none may advertise --checkpoint.
+  for (const char* name : {"fig7", "ablation", "defense"}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(cli::run_campaign_command(name, {"--help"}, out, err), 0);
+    EXPECT_EQ(out.str().find("--checkpoint"), std::string::npos) << name;
+  }
   std::ostringstream out4, err4;
   EXPECT_EQ(cli::run_campaign_command("table4", {"--help"}, out4, err4), 0);
   EXPECT_NE(out4.str().find("--checkpoint"), std::string::npos);

@@ -481,7 +481,7 @@ TEST(FaultCli, PaperTablesRejectFaultPlanFlag) {
   // The published baselines must stay untouchable: --fault-plan on any
   // paper table is a usage error up front, not a different experiment.
   for (const std::string cmd :
-       {"table4", "table5", "fig7", "fig8", "merge"}) {
+       {"table4", "table5", "fig7", "fig8", "merge", "ablation", "defense"}) {
     std::string err;
     EXPECT_EQ(run_cli(cmd, {"--fault-plan", "x.txt"}, nullptr, &err), 2)
         << cmd;
