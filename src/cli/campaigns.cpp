@@ -84,6 +84,27 @@ std::unique_ptr<Checkpoint> open_checkpoint(
   return ckpt;
 }
 
+/// Run every slice (anything with a `name` and a `grid`) through one
+/// exp::run_campaigns_streaming call — one pool for all of them — with a
+/// decile progress display per slice, and return one Aggregate per slice
+/// in slice order. Every slice's checkpoint opens before the first
+/// simulation, so a slice file that cannot be opened fails the run before
+/// any work is done.
+template <class Slice>
+std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
+                                       const CampaignOptions& options,
+                                       std::ostream* progress) {
+  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
+  std::vector<exp::CampaignLeg> legs;
+  for (const Slice& slice : slices) {
+    checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
+        options, slice.name, slice.grid, progress));
+    legs.push_back({slice.grid, checkpoints.back().get(), nullptr,
+                    decile_progress(progress, slice.name)});
+  }
+  return exp::run_campaigns_streaming(legs, campaign_config(options));
+}
+
 /// One Table IV strategy with its grid built: the unit table4_report,
 /// the shard worker, the coordinator, and merge all share,
 /// so every mode runs (and fingerprints) the identical experiment.
@@ -176,9 +197,11 @@ exp::CampaignProgressFn decile_progress(std::ostream* out,
                                         const std::string& tag) {
   if (out == nullptr) return {};
   // The callback is invoked from campaign worker threads. The streaming
-  // runner serializes its progress callbacks, but that is the caller's
-  // discipline, not this closure's — so the decile bookkeeping carries its
-  // own annotated lock and stays correct under any caller.
+  // runner serializes every leg's progress callbacks under one lock, which
+  // is also what keeps several legs' lines from interleaving on @p out;
+  // but that is the caller's discipline, not this closure's — so the
+  // decile bookkeeping carries its own annotated lock and stays correct
+  // under any caller.
   struct DecileState {
     util::Mutex mutex;
     int last_decile SCAA_GUARDED_BY(mutex) = -1;
@@ -485,32 +508,20 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
   if (options.shard_count > 0)
     return table4_shard_worker_report(options, progress);
 
-  if (options.shards > 1) {
-    const std::vector<exp::Aggregate> aggs =
-        run_table4_sharded(options, progress);
-    Report report = make_table4_report();
-    const auto& strategies = table4_strategies();
-    for (std::size_t i = 0; i < strategies.size(); ++i) {
-      add_table4_row(report, strategies[i], aggs[i]);
-      note(progress, "[table4] " + to_string(strategies[i].kind) + " done: " +
-                         std::to_string(aggs[i].simulations) + " sims");
-    }
-    return report;
-  }
-
-  const exp::CampaignConfig cc = campaign_config(options);
+  // In process, the streaming runner keeps O(chunks) live memory instead
+  // of one result per simulation, and the five slices share one pool.
+  const std::vector<exp::Aggregate> aggs =
+      options.shards > 1
+          ? run_table4_sharded(options, progress)
+          : run_slices(build_table4_slices(options, campaign_config(options),
+                                           "table4"),
+                       options, progress);
   Report report = make_table4_report();
-  for (const Table4Slice& slice : build_table4_slices(options, cc, "table4")) {
-    // Streaming runner: O(threads) live memory instead of one result per
-    // simulation, with per-chunk progress while the grid drains.
-    const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
-        options, slice.name, slice.grid, progress);
-    const exp::Aggregate agg = exp::run_campaign_streaming(
-        slice.grid, cc, decile_progress(progress, slice.name),
-        checkpoint.get());
-    add_table4_row(report, slice.row, agg);
-    note(progress, "[table4] " + to_string(slice.row.kind) + " done: " +
-                       std::to_string(agg.simulations) + " sims");
+  const auto& strategies = table4_strategies();
+  for (std::size_t i = 0; i < strategies.size(); ++i) {
+    add_table4_row(report, strategies[i], aggs[i]);
+    note(progress, "[table4] " + to_string(strategies[i].kind) + " done: " +
+                       std::to_string(aggs[i].simulations) + " sims");
   }
   return report;
 }
@@ -761,42 +772,39 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
   const exp::CampaignConfig cc = campaign_config(options);
   const std::vector<FaultCell> cells = fault_table_cells(options);
 
-  // Two legs per cell, on grids identical to Table IV's None and
-  // Context-Aware rows (same seeds, same chunk boundaries) with the cell's
-  // plan attached to every item. Attaching the plan changes each grid's
-  // fingerprint, so every cell checkpoints into its own slice file and a
-  // resume under a different plan is rejected by the checkpoint layer.
+  // Two legs per cell — benign at 2i, attacked at 2i + 1 — on grids
+  // identical to Table IV's None and Context-Aware rows (same seeds, same
+  // chunk boundaries) with the cell's plan attached to every item.
+  // Attaching the plan changes each grid's fingerprint, so every cell
+  // checkpoints into its own slice file and a resume under a different
+  // plan is rejected by the checkpoint layer.
   struct Leg {
     std::string name;
     std::vector<exp::CampaignItem> grid;
   };
-  struct CellRun {
-    FaultCell cell;
-    Leg benign;
-    Leg attacked;
-  };
-  std::vector<CellRun> runs;
+  std::vector<Leg> legs;
   std::vector<std::pair<std::string, std::uint64_t>> names;
   for (const FaultCell& cell : cells) {
-    CellRun run;
-    run.cell = cell;
     const std::string tag = "faults " + cell.family + "-" + cell.intensity;
-    run.benign.name = tag + " benign";
-    run.benign.grid = exp::make_grid(attack::StrategyKind::kNone,
-                                     /*strategic_values=*/false,
-                                     /*driver_enabled=*/true, cc);
-    run.attacked.name = tag + " attack";
-    run.attacked.grid = exp::make_grid(attack::StrategyKind::kContextAware,
-                                       /*strategic_values=*/true,
-                                       /*driver_enabled=*/true, cc);
-    for (Leg* leg : {&run.benign, &run.attacked}) {
+    legs.push_back({tag + " benign",
+                    exp::make_grid(attack::StrategyKind::kNone,
+                                   /*strategic_values=*/false,
+                                   /*driver_enabled=*/true, cc)});
+    legs.push_back({tag + " attack",
+                    exp::make_grid(attack::StrategyKind::kContextAware,
+                                   /*strategic_values=*/true,
+                                   /*driver_enabled=*/true, cc)});
+    for (Leg* leg : {&legs[legs.size() - 2], &legs.back()}) {
       for (exp::CampaignItem& item : leg->grid) item.fault_plan = cell.plan;
       names.emplace_back(leg->name, exp::grid_fingerprint(leg->grid));
     }
-    runs.push_back(std::move(run));
   }
   if (!options.checkpoint.empty())
     reject_slice_file_collisions(options.checkpoint, names);
+
+  // A leg is a small grid (72 items per repetition: two chunks at reps 1),
+  // too small to keep a pool busy on its own, so all legs share one pool.
+  const std::vector<exp::Aggregate> aggs = run_slices(legs, options, progress);
 
   Report report(
       "faults: benign-fault robustness — false positives (attack off) and "
@@ -804,27 +812,20 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
       {"family", "intensity", "benign_sims", "benign_alert_sims", "fp_rate",
        "attack_sims", "attack_alert_sims", "detection_rate",
        "attack_hazard_sims", "hazards_without_alerts", "tth_mean"});
-
-  auto run_leg = [&](const Leg& leg) {
-    const auto checkpoint = open_checkpoint<exp::CampaignCheckpoint>(
-        options, leg.name, leg.grid, progress);
-    return exp::run_campaign_streaming(leg.grid, cc,
-                                       decile_progress(progress, leg.name),
-                                       checkpoint.get());
-  };
-  for (const CellRun& run : runs) {
-    const exp::Aggregate benign = run_leg(run.benign);
-    const exp::Aggregate attacked = run_leg(run.attacked);
-    report.add_row({run.cell.family, run.cell.intensity,
-                    ll(benign.simulations), ll(benign.sims_with_alerts),
-                    benign.alert_fraction(), ll(attacked.simulations),
-                    ll(attacked.sims_with_alerts), attacked.alert_fraction(),
-                    ll(attacked.sims_with_hazards),
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const FaultCell& cell = cells[i];
+    const exp::Aggregate& benign = aggs[2 * i];
+    const exp::Aggregate& attacked = aggs[2 * i + 1];
+    report.add_row({cell.family, cell.intensity, ll(benign.simulations),
+                    ll(benign.sims_with_alerts), benign.alert_fraction(),
+                    ll(attacked.simulations), ll(attacked.sims_with_alerts),
+                    attacked.alert_fraction(), ll(attacked.sims_with_hazards),
                     ll(attacked.hazards_without_alerts), attacked.tth_mean});
-    note(progress,
-         "[faults] " + run.cell.family + "/" + run.cell.intensity +
-             " done: fp_rate " + std::to_string(benign.alert_fraction()) +
-             ", detection " + std::to_string(attacked.alert_fraction()));
+    note(progress, "[faults] " + cell.family + "/" + cell.intensity +
+                       " done: fp_rate " +
+                       std::to_string(benign.alert_fraction()) +
+                       ", detection " +
+                       std::to_string(attacked.alert_fraction()));
   }
   return report;
 }

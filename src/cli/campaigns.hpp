@@ -183,7 +183,9 @@ exp::CampaignProgressFn decile_progress(std::ostream* out,
 /// strategy. @p progress (may be null) receives per-strategy status lines.
 ///
 /// Three execution modes, selected by the options:
-///  - default: run every strategy in-process (streaming runner).
+///  - default: run every strategy in-process, all five grids through one
+///    exp::run_campaigns_streaming call (one pool), every slice's
+///    checkpoint opened before the first simulation.
 ///  - options.shards > 1 (coordinator): fork that many worker processes,
 ///    each running its deterministic slice of every strategy into its own
 ///    checkpoint file, multiplex their pipe progress into one decile
@@ -225,7 +227,10 @@ Report fig8_report(const CampaignOptions& options, std::ostream* progress);
 /// rate and hazards-without-alerts under the same faults. The plan is part
 /// of each grid's fingerprint, so checkpoint slices of different cells can
 /// never be confused and a resumed cell is bit-identical to an
-/// uninterrupted one.
+/// uninterrupted one. Every leg of every cell runs through one
+/// exp::run_campaigns_streaming call (one pool), every leg's checkpoint
+/// opened before the first simulation; rows and per-cell notes follow in
+/// cell order once all legs have finished.
 Report faults_report(const CampaignOptions& options, std::ostream* progress);
 
 /// `scaa_campaign ablation` (beyond the paper, motivated by its §V): which

@@ -109,19 +109,20 @@ struct FirstError {
 };
 
 /// The one chunk loop behind both runners, and the only ThreadPool in the
-/// campaign layer: runs @p run_chunk(c) for every chunk index in @p chunks
-/// on @p threads workers. The first exception a chunk throws stops the
-/// chunks not yet started and is rethrown after the pool drains.
-void run_chunks(std::size_t threads, const std::vector<std::size_t>& chunks,
+/// campaign layer: runs @p run_chunk(t) for every task index t in
+/// [0, @p tasks), submitted in index order, on @p threads workers. The
+/// first exception a task throws stops the tasks not yet started and is
+/// rethrown after the pool drains.
+void run_chunks(std::size_t threads, std::size_t tasks,
                 const std::function<void(std::size_t)>& run_chunk) {
   FirstError error;
   {
     ThreadPool pool(threads);
-    for (const std::size_t c : chunks) {
-      pool.submit([&run_chunk, &error, c] {
+    for (std::size_t t = 0; t < tasks; ++t) {
+      pool.submit([&run_chunk, &error, t] {
         if (error.failed.load(std::memory_order_acquire)) return;
         try {
-          run_chunk(c);
+          run_chunk(t);
         } catch (...) {
           error.capture(std::current_exception());
         }
@@ -141,23 +142,22 @@ std::size_t chunk_end(std::size_t c, std::size_t items) {
   return std::min(items, (c + 1) * kCampaignChunk);
 }
 
-/// Progress bookkeeping shared by the streaming runner's workers: the
-/// cumulative completed-simulation count and the user callback invocation
-/// are both serialized by one mutex, so callbacks observe monotonically
-/// non-decreasing counts.
+/// Progress bookkeeping shared by the streaming runner's workers: every
+/// leg's cumulative completed-simulation count and every leg's callback
+/// invocation are serialized by one mutex, so no two callbacks run at once
+/// and each leg's callbacks observe monotonically non-decreasing counts.
 struct ProgressCounter {
   util::Mutex mutex;
-  std::size_t completed SCAA_GUARDED_BY(mutex) = 0;
+  std::vector<std::size_t> completed SCAA_GUARDED_BY(mutex);
 
-  void start_at(std::size_t restored) SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    completed = restored;
-  }
-  void advance(std::size_t delta, std::size_t total,
+  explicit ProgressCounter(std::size_t legs) : completed(legs, 0) {}
+
+  /// Add @p delta finished simulations to @p leg and report its new count.
+  void advance(std::size_t leg, std::size_t delta, std::size_t total,
                const CampaignProgressFn& progress) SCAA_EXCLUDES(mutex) {
     const util::MutexLock lock(mutex);
-    completed += delta;
-    progress(CampaignProgress{completed, total});
+    completed[leg] += delta;
+    progress(CampaignProgress{completed[leg], total});
   }
 };
 
@@ -189,7 +189,8 @@ std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
   for (std::size_t c = 0; c < chunk_count(items.size()); ++c)
     if (checkpoint == nullptr || !checkpoint->chunk_complete(c))
       pending.push_back(c);
-  run_chunks(config.threads, pending, [&](std::size_t c) {
+  run_chunks(config.threads, pending.size(), [&](std::size_t t) {
+    const std::size_t c = pending[t];
     const std::size_t begin = c * kCampaignChunk;
     const std::size_t end = chunk_end(c, items.size());
     for (std::size_t i = begin; i < end; ++i)
@@ -294,26 +295,9 @@ Aggregate aggregate(const std::vector<CampaignResult>& results) {
   return total.finish();
 }
 
-Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
-                                 const CampaignConfig& config,
-                                 const CampaignProgressFn& progress,
-                                 CampaignCheckpoint* checkpoint,
-                                 const ChunkRange* chunks) {
+std::vector<Aggregate> run_campaigns_streaming(
+    const std::vector<CampaignLeg>& legs, const CampaignConfig& config) {
   const WorldAssets assets = WorldAssets::make_default();
-  const std::size_t n_chunks = chunk_count(items.size());
-
-  // The chunk range this call owns: the whole grid, or a shard's slice
-  // (clamped so an oversized range is harmless).
-  const std::size_t range_begin =
-      chunks != nullptr ? std::min(chunks->begin_chunk, n_chunks) : 0;
-  const std::size_t range_end =
-      chunks != nullptr ? std::min(chunks->end_chunk, n_chunks) : n_chunks;
-  const auto chunk_items = [&](std::size_t c) {
-    return chunk_end(c, items.size()) - c * kCampaignChunk;
-  };
-  std::size_t range_items = 0;
-  for (std::size_t c = range_begin; c < range_end; ++c)
-    range_items += chunk_items(c);
 
   // One accumulator per chunk, padded to a cache line: each is written by
   // exactly one worker, and the padding keeps neighbouring chunks from
@@ -321,48 +305,96 @@ Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
   struct alignas(64) PaddedAccumulator {
     AggregateAccumulator acc;
   };
-  std::vector<PaddedAccumulator> partials(n_chunks);
+  // The chunk range one leg owns — the whole grid, or a shard's slice
+  // (clamped so an oversized range is harmless) — and its partials.
+  struct LegRun {
+    std::size_t range_begin = 0;
+    std::size_t range_end = 0;
+    std::size_t range_items = 0;
+    std::vector<PaddedAccumulator> partials;
+  };
+  // One pool task: chunk `chunk` of leg `leg`.
+  struct Task {
+    std::size_t leg = 0;
+    std::size_t chunk = 0;
+  };
 
-  // Restore already-committed chunks before submitting anything: they are
-  // never recomputed, and the first progress callback accounts for them.
-  // Only in-range chunks count — a shard worker reports its slice alone.
-  std::size_t restored = 0;
-  std::vector<std::size_t> pending;
-  for (std::size_t c = range_begin; c < range_end; ++c) {
-    if (checkpoint != nullptr && checkpoint->chunk_complete(c)) {
-      partials[c].acc = checkpoint->restored(c);
-      restored += chunk_items(c);
-    } else {
-      pending.push_back(c);
+  std::vector<LegRun> runs(legs.size());
+  std::vector<Task> tasks;
+  ProgressCounter counter(legs.size());
+  for (std::size_t l = 0; l < legs.size(); ++l) {
+    const CampaignLeg& leg = legs[l];
+    LegRun& run = runs[l];
+    const std::size_t n_items = leg.items.size();
+    const std::size_t n_chunks = chunk_count(n_items);
+    run.range_begin =
+        leg.chunks != nullptr ? std::min(leg.chunks->begin_chunk, n_chunks) : 0;
+    run.range_end =
+        leg.chunks != nullptr ? std::min(leg.chunks->end_chunk, n_chunks)
+                              : n_chunks;
+    run.partials.resize(n_chunks);
+
+    // Restore already-committed chunks before submitting anything: they
+    // are never recomputed, and the leg's first progress callback accounts
+    // for them. Only in-range chunks count — a shard worker reports its
+    // slice alone.
+    std::size_t restored = 0;
+    for (std::size_t c = run.range_begin; c < run.range_end; ++c) {
+      const std::size_t items = chunk_end(c, n_items) - c * kCampaignChunk;
+      run.range_items += items;
+      if (leg.checkpoint != nullptr && leg.checkpoint->chunk_complete(c)) {
+        run.partials[c].acc = leg.checkpoint->restored(c);
+        restored += items;
+      } else {
+        tasks.push_back(Task{l, c});
+      }
     }
+    if (leg.progress && restored > 0)
+      counter.advance(l, restored, run.range_items, leg.progress);
   }
-  if (progress && restored > 0)
-    progress(CampaignProgress{restored, range_items});
 
-  ProgressCounter counter;
-  counter.start_at(restored);
-  run_chunks(config.threads, pending, [&](std::size_t c) {
+  run_chunks(config.threads, tasks.size(), [&](std::size_t t) {
+    const auto [l, c] = tasks[t];
+    const CampaignLeg& leg = legs[l];
+    AggregateAccumulator& acc = runs[l].partials[c].acc;
     const std::size_t begin = c * kCampaignChunk;
-    const std::size_t end = chunk_end(c, items.size());
+    const std::size_t end = chunk_end(c, leg.items.size());
     // Fold in item order within the chunk — the same order the sequential
     // reduction uses.
     for (std::size_t i = begin; i < end; ++i)
-      partials[c].acc.add(simulate_fresh(items[i], assets));
+      acc.add(simulate_fresh(leg.items[i], assets));
     // Commit before reporting progress: a chunk only ever counts as done
     // once it is durable.
-    if (checkpoint != nullptr) checkpoint->commit(c, partials[c].acc);
-    if (progress) counter.advance(end - begin, range_items, progress);
+    if (leg.checkpoint != nullptr) leg.checkpoint->commit(c, acc);
+    if (leg.progress)
+      counter.advance(l, end - begin, runs[l].range_items, leg.progress);
   });
 
-  // Merge in chunk order: the fixed order is what makes the result
-  // independent of which worker ran which chunk — and, with a checkpoint,
-  // of which chunks were restored vs. freshly computed. A sliced call
-  // folds only its own range, so the returned Aggregate covers exactly
-  // the slice's items.
-  AggregateAccumulator total;
-  for (std::size_t c = range_begin; c < range_end; ++c)
-    total.merge(partials[c].acc);
-  return total.finish();
+  // Merge each leg in its own chunk order: the fixed order is what makes
+  // the result independent of which worker ran which chunk, of what the
+  // other legs are — and, with a checkpoint, of which chunks were restored
+  // vs. freshly computed. A sliced leg folds only its own range, so its
+  // Aggregate covers exactly the slice's items.
+  std::vector<Aggregate> aggregates;
+  aggregates.reserve(runs.size());
+  for (const LegRun& run : runs) {
+    AggregateAccumulator total;
+    for (std::size_t c = run.range_begin; c < run.range_end; ++c)
+      total.merge(run.partials[c].acc);
+    aggregates.push_back(total.finish());
+  }
+  return aggregates;
+}
+
+Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
+                                 const CampaignConfig& config,
+                                 const CampaignProgressFn& progress,
+                                 CampaignCheckpoint* checkpoint,
+                                 const ChunkRange* chunks) {
+  return run_campaigns_streaming({CampaignLeg{items, checkpoint, chunks,
+                                              progress}},
+                                 config)
+      .front();
 }
 
 }  // namespace scaa::exp

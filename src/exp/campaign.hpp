@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -203,34 +204,62 @@ struct CampaignProgress {
 };
 using CampaignProgressFn = std::function<void(const CampaignProgress&)>;
 
-/// Run every item WITHOUT materializing per-item results: items are
-/// submitted in kCampaignChunk-sized tasks, each task folds its outcomes
-/// into its own cache-line-padded accumulator, and the partials are merged
-/// in chunk order at the end. Memory stays O(items / kCampaignChunk)
-/// accumulators (~64 B each) instead of O(items) summaries, the returned
-/// Aggregate is bit-identical to aggregate(run_campaign(items, config)) at
-/// any thread count, and @p progress (may be empty; called under a lock)
-/// enables live output for hour-long paper-scale campaigns.
+/// One grid ("leg") of a streaming run: the grid and the per-grid knobs
+/// described at run_campaigns_streaming. The caller owns everything the
+/// leg points at, and keeps it alive for the duration of the call.
+struct CampaignLeg {
+  std::span<const CampaignItem> items;       ///< the FULL grid
+  CampaignCheckpoint* checkpoint = nullptr;  ///< may be null
+  const ChunkRange* chunks = nullptr;        ///< null = the whole grid
+  CampaignProgressFn progress;               ///< may be empty
+};
+
+/// Run every item of every leg WITHOUT materializing per-item results, and
+/// return one Aggregate per leg, in leg order. Every (leg, chunk) pair is
+/// one kCampaignChunk-sized task in a single pool, created and joined
+/// inside the call, so a report made of many small grids (the faults
+/// sweep: 50 legs of 72 items per repetition) keeps every worker busy
+/// instead of running its grids one after another a few chunks at a time. Each task folds its
+/// outcomes into its own cache-line-padded accumulator, and each leg's
+/// partials are merged in that leg's chunk order after the pool drains.
+/// Memory stays O(items / kCampaignChunk) accumulators (~64 B each)
+/// instead of O(items) summaries, and every leg's Aggregate is
+/// bit-identical to aggregate(run_campaign(leg items, config)) at any
+/// thread count and whatever the other legs are.
 ///
-/// With a @p checkpoint (may be null), chunks the checkpoint already holds
-/// are restored (never recomputed) and counted into the first progress
-/// callback, and each freshly finished chunk is committed — an fsync'd
-/// atomic append — before it reports progress. Because restored and
+/// Progress: every leg's callback (may be empty) is called under ONE lock
+/// shared by all legs of the call, so callbacks never run concurrently —
+/// callbacks of different legs may write to one stream with no lock of
+/// their own — and each leg's counts are monotonically non-decreasing.
+/// Counts and totals are per leg. Live output matters for hour-long
+/// paper-scale campaigns.
+///
+/// With a leg's checkpoint (may be null), chunks the checkpoint already
+/// holds are restored (never recomputed) and counted into that leg's first
+/// progress callback, and each freshly finished chunk is committed — an
+/// fsync'd atomic append — before it reports progress. Because restored and
 /// recomputed partials merge in the same fixed chunk order, a run that is
-/// killed and resumed any number of times returns an Aggregate bit-identical
-/// to an uninterrupted run, at any thread count. A failure (a commit, e.g.
-/// disk full, or a simulation) stops the chunks not yet started and is
-/// rethrown after the pool drains.
+/// killed and resumed any number of times returns Aggregates bit-identical
+/// to an uninterrupted run, at any thread count. The caller opens every
+/// checkpoint before the call, so a checkpoint that cannot be opened fails
+/// before any simulation runs. A failure in any leg (a commit, e.g. disk
+/// full, a simulation, or a progress callback) stops the chunks of every
+/// leg not yet started and is rethrown after the pool drains.
 ///
-/// With a @p chunks range (may be null = the whole grid), only the chunks
-/// in [begin_chunk, end_chunk) are restored, run, folded, and counted: this
-/// is the shard-worker entry point, where @p items is still the FULL grid
-/// (so the checkpoint fingerprint matches every other slice of the same
-/// campaign) but this process owns only its slice. Progress totals cover
-/// the slice, and the returned Aggregate is the slice's alone — the merge
-/// step (exp/shard.hpp) folds the per-chunk checkpoint records of all
-/// slices in global chunk order to reconstruct the campaign total
-/// bit-identically.
+/// With a leg's chunks range (may be null = the whole grid), only the
+/// chunks in [begin_chunk, end_chunk) are restored, run, folded, and
+/// counted: this is the shard-worker entry point, where the leg's items
+/// are still the FULL grid (so the checkpoint fingerprint matches every
+/// other slice of the same campaign) but this process owns only its slice.
+/// Progress totals cover the slice, and the returned Aggregate is the
+/// slice's alone — the merge step (exp/shard.hpp) folds the per-chunk
+/// checkpoint records of all slices in global chunk order to reconstruct
+/// the campaign total bit-identically.
+std::vector<Aggregate> run_campaigns_streaming(
+    const std::vector<CampaignLeg>& legs, const CampaignConfig& config);
+
+/// One-leg run_campaigns_streaming: the streaming run of a single grid,
+/// with @p progress, @p checkpoint and @p chunks as described there.
 Aggregate run_campaign_streaming(const std::vector<CampaignItem>& items,
                                  const CampaignConfig& config,
                                  const CampaignProgressFn& progress = {},

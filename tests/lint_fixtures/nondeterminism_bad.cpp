@@ -3,7 +3,7 @@
 // Library code drawing entropy / wall clock from the environment: every
 // site below must be flagged. Simulations are pure functions of
 // (scenario, strategy, seed); none of these belong outside src/util/rng.*
-// and src/cli/.
+// (nondeterminism_cli_bad.cpp holds the CLI layer to the same rule).
 //
 // NOT COMPILED: lint fixture only; tools/scaa_lint.py --self-test reads it.
 #include <cstdlib>

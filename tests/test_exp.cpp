@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "exp/campaign.hpp"
 #include "exp/checkpoint.hpp"
@@ -263,6 +266,182 @@ TEST(Campaign, StreamingReportsMonotonicProgress) {
     EXPECT_GT(seen[i].completed, seen[i - 1].completed);
   EXPECT_EQ(seen.back().completed, grid.size());
   EXPECT_EQ(seen.back().total, grid.size());
+}
+
+/// Bit-level equality of two Aggregates, the floating-point moments
+/// compared by bit pattern.
+void expect_aggregate_bits_eq(const exp::Aggregate& a, const exp::Aggregate& b,
+                              std::size_t leg) {
+  SCOPED_TRACE(leg);
+  EXPECT_EQ(a.simulations, b.simulations);
+  EXPECT_EQ(a.sims_with_alerts, b.sims_with_alerts);
+  EXPECT_EQ(a.sims_with_hazards, b.sims_with_hazards);
+  EXPECT_EQ(a.sims_with_accidents, b.sims_with_accidents);
+  EXPECT_EQ(a.hazards_without_alerts, b.hazards_without_alerts);
+  EXPECT_EQ(a.fcw_activations, b.fcw_activations);
+  EXPECT_EQ(util::double_bits(a.lane_invasion_rate_mean),
+            util::double_bits(b.lane_invasion_rate_mean));
+  EXPECT_EQ(util::double_bits(a.tth_mean), util::double_bits(b.tth_mean));
+  EXPECT_EQ(util::double_bits(a.tth_std), util::double_bits(b.tth_std));
+}
+
+/// Three grids for the multi-leg runner, none a multiple of kCampaignChunk:
+/// 2 chunks (64 + 6), 1 partial chunk, 3 chunks (64 + 64 + 3).
+std::vector<std::vector<exp::CampaignItem>> multi_leg_grids() {
+  auto a = exp::make_grid(attack::StrategyKind::kContextAware, true, true,
+                          grid_config(1, 31));
+  a.resize(exp::kCampaignChunk + 6);
+  auto b = exp::make_grid(attack::StrategyKind::kRandomSt, false, true,
+                          grid_config(1, 32));
+  b.resize(5);
+  auto c = exp::make_grid(attack::StrategyKind::kContextAware, true, true,
+                          grid_config(2, 33));
+  c.resize(2 * exp::kCampaignChunk + 3);
+  return {std::move(a), std::move(b), std::move(c)};
+}
+
+/// A leg with no checkpoint, no chunk range and no progress callback.
+exp::CampaignLeg plain_leg(const std::vector<exp::CampaignItem>& grid) {
+  exp::CampaignLeg leg;
+  leg.items = grid;
+  return leg;
+}
+
+TEST(Campaign, MultiLegMatchesPerLegRunsBitExactly) {
+  // One pool over every (leg, chunk) pair must not change a bit of any
+  // leg: each leg still merges its own partials in its own chunk order.
+  const auto grids = multi_leg_grids();
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  std::vector<exp::Aggregate> per_leg;
+  for (const auto& grid : grids)
+    per_leg.push_back(exp::run_campaign_streaming(grid, cc));
+
+  std::vector<exp::CampaignLeg> legs;
+  for (const auto& grid : grids) legs.push_back(plain_leg(grid));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(threads);
+    exp::CampaignConfig mcc;
+    mcc.threads = threads;
+    const auto multi = exp::run_campaigns_streaming(legs, mcc);
+    ASSERT_EQ(multi.size(), grids.size());
+    for (std::size_t l = 0; l < grids.size(); ++l) {
+      EXPECT_EQ(multi[l].simulations, grids[l].size());
+      expect_aggregate_bits_eq(multi[l], per_leg[l], l);
+    }
+  }
+}
+
+TEST(Campaign, MultiLegProgressIsSerializedAcrossLegs) {
+  // Every leg's callback appends to ONE string with no lock of its own:
+  // only the runner's single progress lock keeps this race-free (TSan
+  // proves it), and each leg's counts must still climb to its total.
+  const auto grids = multi_leg_grids();
+  std::string log;
+  std::vector<exp::CampaignLeg> legs;
+  for (std::size_t l = 0; l < grids.size(); ++l)
+    legs.push_back({grids[l], nullptr, nullptr,
+                    [&log, l](const exp::CampaignProgress& p) {
+                      log += std::to_string(l) + ' ' +
+                             std::to_string(p.completed) + ' ' +
+                             std::to_string(p.total) + '\n';
+                    }});
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  exp::run_campaigns_streaming(legs, cc);
+
+  std::vector<std::size_t> last(grids.size(), 0);
+  std::istringstream lines(log);
+  std::size_t leg = 0;
+  std::size_t completed = 0;
+  std::size_t total = 0;
+  std::size_t calls = 0;
+  while (lines >> leg >> completed >> total) {
+    ASSERT_LT(leg, grids.size());
+    EXPECT_EQ(total, grids[leg].size());
+    EXPECT_GT(completed, last[leg]) << "leg " << leg;
+    last[leg] = completed;
+    ++calls;
+  }
+  EXPECT_TRUE(lines.eof());
+  // One callback per chunk: 2 + 1 + 3.
+  EXPECT_EQ(calls, 6u);
+  for (std::size_t l = 0; l < grids.size(); ++l)
+    EXPECT_EQ(last[l], grids[l].size()) << "leg " << l;
+}
+
+TEST(Campaign, MultiLegResumeIsBitIdentical) {
+  // Commit the first half of each leg's chunks through chunk ranges, then
+  // resume every leg in one call: restored and fresh partials merge in the
+  // same chunk order, so the result equals an uninterrupted run.
+  const auto grids = multi_leg_grids();
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  std::vector<exp::CampaignLeg> plain;
+  for (const auto& grid : grids) plain.push_back(plain_leg(grid));
+  const auto uninterrupted = exp::run_campaigns_streaming(plain, cc);
+
+  std::vector<std::string> paths;
+  for (std::size_t l = 0; l < grids.size(); ++l) {
+    paths.push_back(testing::TempDir() + "scaa_multi_leg_" +
+                    std::to_string(l) + ".ckpt");
+    std::remove(paths.back().c_str());
+  }
+  std::vector<exp::ChunkRange> halves;
+  for (const auto& grid : grids) {
+    const std::size_t chunks =
+        (grid.size() + exp::kCampaignChunk - 1) / exp::kCampaignChunk;
+    halves.push_back({0, chunks / 2});
+  }
+  {
+    std::vector<std::unique_ptr<exp::CampaignCheckpoint>> ckpts;
+    std::vector<exp::CampaignLeg> legs;
+    for (std::size_t l = 0; l < grids.size(); ++l) {
+      ckpts.push_back(std::make_unique<exp::CampaignCheckpoint>(
+          paths[l], grids[l], /*resume=*/false));
+      legs.push_back(plain_leg(grids[l]));
+      legs.back().checkpoint = ckpts.back().get();
+      legs.back().chunks = &halves[l];
+    }
+    exp::run_campaigns_streaming(legs, cc);
+  }
+  {
+    std::vector<std::unique_ptr<exp::CampaignCheckpoint>> ckpts;
+    std::vector<exp::CampaignLeg> legs;
+    std::vector<std::size_t> first_seen(grids.size(), 0);
+    for (std::size_t l = 0; l < grids.size(); ++l) {
+      ckpts.push_back(std::make_unique<exp::CampaignCheckpoint>(
+          paths[l], grids[l], /*resume=*/true));
+      EXPECT_EQ(ckpts.back()->completed_chunks(), halves[l].end_chunk);
+      legs.push_back({grids[l], ckpts.back().get(), nullptr,
+                      [&first_seen, l](const exp::CampaignProgress& p) {
+                        if (first_seen[l] == 0) first_seen[l] = p.completed;
+                      }});
+    }
+    const auto resumed = exp::run_campaigns_streaming(legs, cc);
+    ASSERT_EQ(resumed.size(), grids.size());
+    for (std::size_t l = 0; l < grids.size(); ++l) {
+      expect_aggregate_bits_eq(resumed[l], uninterrupted[l], l);
+      // The first callback reports the restored chunks, if any.
+      if (halves[l].end_chunk > 0) {
+        EXPECT_EQ(first_seen[l], ckpts[l]->completed_items()) << "leg " << l;
+      }
+    }
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
+}
+
+TEST(Campaign, MultiLegExceptionIsRethrownAfterDrain) {
+  // An item no World accepts (scenario 99) makes its leg throw; the runner
+  // stops the chunks not yet started in every leg and rethrows the
+  // original exception once the pool has drained.
+  auto grids = multi_leg_grids();
+  grids[1][2].scenario_id = 99;
+  std::vector<exp::CampaignLeg> legs;
+  for (const auto& grid : grids) legs.push_back(plain_leg(grid));
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  EXPECT_THROW(exp::run_campaigns_streaming(legs, cc), std::invalid_argument);
 }
 
 TEST(Campaign, SharedAssetsMatchPrivatelyBuiltWorlds) {

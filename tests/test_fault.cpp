@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -456,6 +457,43 @@ TEST(FaultCli, FaultsTableDeterministicAcrossThreads) {
                     &four),
             0);
   EXPECT_EQ(one, four);
+  std::remove(plan.c_str());
+}
+
+TEST(FaultCli, CheckpointCollisionFailsBeforeAnySimulation) {
+  // Every leg's slice file opens before the first simulation: a stale file
+  // for the LAST leg must fail the run up front, not after the earlier
+  // legs have been simulated.
+  const std::string plan =
+      write_plan_file("cli_ckpt.txt", "can_drop rate=0.1\n");
+  const std::string dir = temp_path("precreated_ckpt");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stem = dir + "/f";
+
+  exp::CampaignConfig cc;
+  cc.repetitions = 1;
+  cc.base_seed = 2022;
+  auto grid = exp::make_grid(attack::StrategyKind::kContextAware,
+                             /*strategic_values=*/true,
+                             /*driver_enabled=*/true, cc);
+  const auto parsed = std::make_shared<const fault::FaultPlan>(
+      fault::FaultPlan::parse_file(plan));
+  for (exp::CampaignItem& item : grid) item.fault_plan = parsed;
+  const std::string last_leg = cli::slice_checkpoint_file(
+      stem, "faults custom-plan attack", exp::grid_fingerprint(grid));
+  std::ofstream(last_leg) << "stale\n";
+
+  std::string err;
+  EXPECT_EQ(run_cli("faults",
+                    {"--fault-plan", plan, "--reps", "1", "--seed", "2022",
+                     "--threads", "4", "--checkpoint", stem, "--format",
+                     "csv"},
+                    nullptr, &err),
+            1);
+  EXPECT_NE(err.find("already exists"), std::string::npos) << err;
+  EXPECT_EQ(err.find(" sims"), std::string::npos) << err;
+  std::filesystem::remove_all(dir);
   std::remove(plan.c_str());
 }
 

@@ -8,14 +8,16 @@ generic tool knows about:
 
   nondeterminism      No rand()/srand()/std::random_device/time()/getenv()
                       /gettimeofday()/clock_gettime()/clock_nanosleep()
-                      outside the blessed RNG-seeding layer (src/util/rng.*),
-                      the deadline-clock layer (src/util/deadline_clock.* —
-                      the real-time executor's one wall-clock source, which
+                      outside the blessed RNG-seeding layer (src/util/rng.*)
+                      and the deadline-clock layer (src/util/deadline_clock.*
+                      — the real-time executor's one wall-clock source, which
                       by contract never feeds a clock value into the
-                      simulation), and the CLI layer (src/cli/). Every
-                      simulation must be a pure function of (scenario,
-                      strategy, seed); a stray entropy or wall-clock source
-                      in library code silently breaks bit-reproducibility.
+                      simulation). The CLI layer (src/cli/) is not blessed:
+                      its seeds come from argv and its reports are
+                      byte-exact goldens. Every simulation must be a pure
+                      function of (scenario, strategy, seed); a stray
+                      entropy or wall-clock source silently breaks
+                      bit-reproducibility.
 
   unordered-iteration No iteration over std::unordered_* containers in
                       aggregation / serialization / report paths. Unordered
@@ -82,10 +84,10 @@ RULES = (
 
 # --- layer classification (repo-relative posix paths) -----------------------
 
-# Blessed entropy/wall-clock layers: the RNG seeding implementation, the
+# Blessed entropy/wall-clock layers: the RNG seeding implementation and the
 # deadline clock (the real-time executor's pacing source — its clock values
-# never enter the simulation), and the CLI (seeds from argv).
-NONDET_BLESSED = ("src/cli/", "src/util/rng.", "src/util/deadline_clock.")
+# never enter the simulation).
+NONDET_BLESSED = ("src/util/rng.", "src/util/deadline_clock.")
 
 # Paths whose loops feed deterministic aggregates, serialized bytes, or
 # report output: the fold-order rules apply here.
