@@ -1,7 +1,8 @@
 #include "cli/campaigns.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <csignal>
+#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -10,11 +11,6 @@
 #include <optional>
 #include <ostream>
 #include <vector>
-
-#include <charconv>
-#include <thread>
-
-#include <signal.h>
 
 #include "cli/args.hpp"
 #include "exp/campaign.hpp"
@@ -27,7 +23,6 @@
 #include "geom/polyline.hpp"
 #include "sim/world.hpp"
 #include "util/mutex.hpp"
-#include "util/proc.hpp"
 #include "util/rng.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -63,6 +58,31 @@ void note(std::ostream* progress, const std::string& line) {
   if (progress) *progress << line << "\n" << std::flush;
 }
 
+/// The slice of every grid this process runs: slice `index` of `count`
+/// under --shard i/N (0-based), otherwise the one slice of a one-slice
+/// plan, which holds every chunk.
+struct OwnShard {
+  std::size_t index = 0;
+  std::size_t count = 1;
+};
+
+OwnShard own_shard(const CampaignOptions& options) {
+  if (options.shard_count == 0) return {};
+  return {static_cast<std::size_t>(options.shard_index),
+          static_cast<std::size_t>(options.shard_count)};
+}
+
+/// The checkpoint file of @p slice under options.checkpoint; under
+/// --shard i/N, this worker's shard-suffixed file of it.
+std::string checkpoint_path(const CampaignOptions& options,
+                            const std::string& slice,
+                            const std::vector<exp::CampaignItem>& grid) {
+  const OwnShard shard = own_shard(options);
+  return slice_checkpoint_file(options.checkpoint, slice,
+                               exp::grid_fingerprint(grid), shard.index,
+                               shard.count);
+}
+
 /// Open the checkpoint for one slice (Checkpoint selects the mode:
 /// exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
 /// for table5's per-item pairing); null when checkpointing is off. Notes
@@ -73,13 +93,14 @@ std::unique_ptr<Checkpoint> open_checkpoint(
     const std::vector<exp::CampaignItem>& grid, std::ostream* progress) {
   if (options.checkpoint.empty()) return nullptr;
   auto ckpt = std::make_unique<Checkpoint>(
-      slice_checkpoint_file(options.checkpoint, slice,
-                            exp::grid_fingerprint(grid)),
-      grid, options.resume);
+      checkpoint_path(options, slice, grid), grid, options.resume);
+  const OwnShard shard = own_shard(options);
+  const std::size_t owned =
+      exp::ShardPlan(grid.size(), shard.count).items_in(shard.index);
   if (ckpt->completed_items() > 0)
     note(progress, "[" + slice + "] resuming: " +
                        std::to_string(ckpt->completed_items()) + "/" +
-                       std::to_string(grid.size()) +
+                       std::to_string(owned) +
                        " sims restored from checkpoint");
   return ckpt;
 }
@@ -87,27 +108,49 @@ std::unique_ptr<Checkpoint> open_checkpoint(
 /// Run every slice (anything with a `name` and a `grid`) through one
 /// exp::run_campaigns_streaming call — one pool for all of them — with a
 /// decile progress display per slice, and return one Aggregate per slice
-/// in slice order. Every slice's checkpoint opens before the first
-/// simulation, so a slice file that cannot be opened fails the run before
-/// any work is done.
+/// in slice order; under --shard i/N only this worker's chunks of each
+/// slice run, and each Aggregate covers them alone. Every slice's
+/// checkpoint opens before the first simulation, so a slice file that
+/// cannot be opened fails the run before any work is done — and, in a
+/// fresh run, removes the files this call had already created, so the
+/// same command can simply be run again.
 template <class Slice>
 std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
                                        const CampaignOptions& options,
                                        std::ostream* progress) {
+  const OwnShard shard = own_shard(options);
   std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
+  std::vector<std::string> created;
+  try {
+    for (const Slice& slice : slices) {
+      checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
+          options, slice.name, slice.grid, progress));
+      // A fresh open refuses an existing file, so it created this one.
+      if (checkpoints.back() && !options.resume)
+        created.push_back(checkpoint_path(options, slice.name, slice.grid));
+    }
+  } catch (...) {
+    checkpoints.clear();  // close first: drops the files' flocks
+    for (const std::string& path : created)
+      if (std::remove(path.c_str()) != 0)
+        note(progress, "could not remove " + path + " (created by this run)");
+    throw;
+  }
+  std::vector<exp::ChunkRange> ranges;
   std::vector<exp::CampaignLeg> legs;
-  for (const Slice& slice : slices) {
-    checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
-        options, slice.name, slice.grid, progress));
-    legs.push_back({slice.grid, checkpoints.back().get(), nullptr,
-                    decile_progress(progress, slice.name)});
+  ranges.reserve(slices.size());  // legs point into it
+  for (std::size_t i = 0; i < slices.size(); ++i) {
+    ranges.push_back(exp::ShardPlan(slices[i].grid.size(), shard.count)
+                         .chunks_for(shard.index));
+    legs.push_back({slices[i].grid, checkpoints[i].get(), &ranges.back(),
+                    decile_progress(progress, slices[i].name)});
   }
   return exp::run_campaigns_streaming(legs, campaign_config(options));
 }
 
-/// One Table IV strategy with its grid built: the unit table4_report,
-/// the shard worker, the coordinator, and merge all share,
-/// so every mode runs (and fingerprints) the identical experiment.
+/// One Table IV strategy with its grid built: the unit table4_report, the
+/// shard worker and merge all share, so every mode runs (and
+/// fingerprints) the identical experiment.
 struct Table4Slice {
   Table4Strategy row;
   std::string name;  ///< slice name, e.g. "table4 Context-Aware"
@@ -237,10 +280,9 @@ const std::vector<Table4Strategy>& table4_strategies() {
 
 namespace {
 
-/// The Table IV report shell + row shape, shared by the in-process path,
-/// the sharded coordinator, and the merge subcommand: all three emit
-/// byte-identical reports because they all go through these two functions
-/// with bit-identical aggregates.
+/// The Table IV report shell + row shape, shared by the in-process path
+/// and the merge subcommand: both emit byte-identical reports because they
+/// both go through these two functions with bit-identical aggregates.
 Report make_table4_report() {
   return Report("Table IV: attack strategy comparison with an alert driver",
                 {"strategy", "simulations", "sims_with_alerts",
@@ -258,244 +300,30 @@ void add_table4_row(Report& report, const Table4Strategy& row,
                   agg.tth_mean, agg.tth_std});
 }
 
-/// The slice checkpoint files of every shard of @p slice, in shard order —
-/// the coordinator, the manual worker, and merge must agree on these paths
-/// exactly, so there is one place that produces them.
-std::vector<std::string> shard_slice_files(const CampaignOptions& options,
-                                           const Table4Slice& slice,
-                                           std::size_t shard_count) {
-  std::vector<std::string> paths;
-  paths.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s)
-    paths.push_back(slice_checkpoint_file(options.checkpoint, slice.name,
-                                          slice.fingerprint, s, shard_count));
-  return paths;
-}
-
-/// Worker side of the coordinator protocol: run this shard's slice of
-/// every strategy into its own checkpoint files, reporting cumulative
-/// completed-simulation counts (restored + fresh, across all strategies)
-/// through @p on_progress after every chunk.
-void run_table4_worker_slices(const std::vector<Table4Slice>& slices,
-                              const CampaignOptions& options,
-                              const exp::CampaignConfig& cc,
-                              std::size_t shard, std::size_t shard_count,
-                              const std::function<void(std::size_t)>& on_progress) {
-  std::size_t base = 0;  // sims completed in earlier strategies
-  for (const Table4Slice& slice : slices) {
-    const exp::ShardPlan plan(slice.grid.size(), shard_count);
-    const exp::ChunkRange range = plan.chunks_for(shard);
-    exp::CampaignCheckpoint checkpoint(
-        slice_checkpoint_file(options.checkpoint, slice.name,
-                              slice.fingerprint, shard, shard_count),
-        slice.grid, options.resume);
-    exp::run_campaign_streaming(
-        slice.grid, cc,
-        [&](const exp::CampaignProgress& p) { on_progress(base + p.completed); },
-        &checkpoint, &range);
-    base += plan.items_in(shard);
-    // A slice that was fully restored (or empty) never fires the progress
-    // callback; report the strategy boundary explicitly so the coordinator
-    // display still reaches 100%.
-    on_progress(base);
-  }
-}
-
-/// Set by the coordinator's SIGINT/SIGTERM handler, read by the mux loop.
-/// sig_atomic_t and a handler that only stores are the whole async-signal
-/// contract; everything else happens on the main thread afterwards.
-volatile std::sig_atomic_t g_coordinator_signal = 0;
-
-void coordinator_signal_handler(int sig) { g_coordinator_signal = sig; }
-
-/// Scoped SIGINT/SIGTERM forwarding for the sharded coordinator. Without
-/// it, killing the coordinator orphans workers that keep running and
-/// holding their slice-file flocks, so an immediate `--resume` fails with
-/// "another process holds this checkpoint". Handlers are installed without
-/// SA_RESTART (poll in LineMux::run must see EINTR and re-check the flag)
-/// and the previous dispositions are restored on scope exit.
-class CoordinatorSignalGuard {
- public:
-  CoordinatorSignalGuard() {
-    g_coordinator_signal = 0;
-    struct sigaction action {};
-    action.sa_handler = &coordinator_signal_handler;
-    ::sigemptyset(&action.sa_mask);
-    action.sa_flags = 0;  // no SA_RESTART
-    ::sigaction(SIGINT, &action, &old_int_);
-    ::sigaction(SIGTERM, &action, &old_term_);
-  }
-  ~CoordinatorSignalGuard() {
-    ::sigaction(SIGINT, &old_int_, nullptr);
-    ::sigaction(SIGTERM, &old_term_, nullptr);
-  }
-  CoordinatorSignalGuard(const CoordinatorSignalGuard&) = delete;
-  CoordinatorSignalGuard& operator=(const CoordinatorSignalGuard&) = delete;
-
-  int received() const noexcept {
-    return static_cast<int>(g_coordinator_signal);
-  }
-
- private:
-  struct sigaction old_int_ {};
-  struct sigaction old_term_ {};
-};
-
-/// Coordinator: fork options.shards workers, multiplex their pipe progress
-/// into one decile display, reap, and merge the slice files. Returns one
-/// aggregate per strategy in presentation order, bit-identical to one
-/// in-process run (see exp/shard.hpp).
-std::vector<exp::Aggregate> run_table4_sharded(const CampaignOptions& options,
-                                               std::ostream* progress) {
-  const exp::CampaignConfig cc = campaign_config(options);
-  const std::vector<Table4Slice> slices =
-      build_table4_slices(options, cc, "table4");
-  const std::size_t shard_count = static_cast<std::size_t>(options.shards);
-
-  std::size_t total_items = 0;
-  for (const Table4Slice& slice : slices) total_items += slice.grid.size();
-
-  // Each worker gets an equal share of the machine unless --threads pins a
-  // per-worker count explicitly.
-  exp::CampaignConfig worker_cc = cc;
-  if (worker_cc.threads == 0) {
-    const std::size_t hw = std::thread::hardware_concurrency();
-    worker_cc.threads = std::max<std::size_t>(1, hw / shard_count);
-  }
-
-  if (progress) progress->flush();  // nothing buffered crosses the fork
-
-  // From here until the reap loop below, SIGINT/SIGTERM no longer kill the
-  // coordinator outright: the signal is recorded, forwarded to every live
-  // worker, and the workers are reaped before we exit — so their slice
-  // flocks are released and an immediate `--resume` works.
-  CoordinatorSignalGuard signal_guard;
-
-  std::vector<util::ForkedWorker> workers;
-  workers.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    workers.push_back(util::fork_worker([&, s](int fd) {
-      // The child inherits the coordinator's record-only handler; restore
-      // the default disposition so a forwarded SIGINT/SIGTERM actually
-      // terminates the worker (its completed chunks are checkpointed).
-      ::signal(SIGINT, SIG_DFL);
-      ::signal(SIGTERM, SIG_DFL);
-      try {
-        run_table4_worker_slices(slices, options, worker_cc, s, shard_count,
-                                 [fd](std::size_t completed) {
-                                   util::write_line(
-                                       fd, "P " + std::to_string(completed));
-                                 });
-        return 0;
-      } catch (const std::exception& e) {
-        // Straight to fd 2: the child must not touch the parent's buffered
-        // streams (a test harness ostringstream would get corrupted).
-        util::write_line(2, "[table4 shard " + std::to_string(s + 1) + "/" +
-                                std::to_string(shard_count) + "] " + e.what());
-        return 1;
-      }
-    }));
-  }
-
-  // One decile display over the whole fleet: workers send absolute
-  // cumulative counts, so summing the latest line per worker is exact.
-  std::vector<int> fds;
-  for (const util::ForkedWorker& w : workers) fds.push_back(w.progress.get());
-  std::vector<std::size_t> latest(workers.size(), 0);
-  int last_decile = -1;
-  util::LineMux mux(fds);
-  mux.run([&](std::size_t worker, std::string_view line) {
-    if (line.size() < 3 || line.substr(0, 2) != "P ") return;
-    std::size_t completed = 0;
-    const auto* end = line.data() + line.size();
-    if (std::from_chars(line.data() + 2, end, completed).ec != std::errc())
-      return;
-    latest[worker] = completed;
-    std::size_t sum = 0;
-    for (const std::size_t c : latest) sum += c;
-    if (total_items == 0 || sum == 0) return;
-    const int decile = static_cast<int>(10 * sum / total_items);
-    if (decile <= last_decile) return;
-    last_decile = decile;
-    note(progress, "[table4 " + std::to_string(shard_count) + " shards] " +
-                       std::to_string(sum) + "/" + std::to_string(total_items) +
-                       " sims");
-  }, [] { return g_coordinator_signal != 0; });
-
-  // Forward a recorded SIGINT/SIGTERM to every worker before reaping.
-  // ESRCH (already exited) is fine — wait_child below still collects it.
-  const int received = signal_guard.received();
-  if (received != 0)
-    for (const util::ForkedWorker& w : workers) ::kill(w.pid, received);
-
-  std::string failures;
-  for (std::size_t s = 0; s < workers.size(); ++s) {
-    const util::ExitStatus status = util::wait_child(workers[s].pid);
-    if (status.ok()) continue;
-    if (!failures.empty()) failures += "; ";
-    failures += "shard " + std::to_string(s + 1) + "/" +
-                std::to_string(shard_count) + " " + status.describe();
-  }
-  if (received != 0)
-    throw std::runtime_error(
-        std::string("interrupted by ") +
-        (received == SIGINT ? "SIGINT" : "SIGTERM") + ": forwarded to all " +
-        std::to_string(workers.size()) +
-        " workers and reaped them (slice files are released) — completed "
-        "chunks are checkpointed; rerun the same command with --resume to "
-        "finish");
-  if (!failures.empty())
-    throw std::runtime_error(
-        failures +
-        " — completed chunks are checkpointed; rerun the same command with "
-        "--resume to finish, then the report (or `merge`) will be "
-        "byte-identical to an uninterrupted run");
-
-  std::vector<exp::Aggregate> aggs;
-  for (const Table4Slice& slice : slices)
-    aggs.push_back(exp::merge_slice_files(
-        slice.grid, shard_slice_files(options, slice, shard_count)));
-  return aggs;
-}
-
-/// Manual worker (--shard i/N): run this slice in-process and summarize
-/// what it covered; the real Table IV report comes from `merge` once the
-/// whole fleet has finished.
+/// Manual worker (--shard i/N): run this worker's slice of every strategy
+/// in-process and summarize what it covered; the real Table IV report
+/// comes from `merge` once the whole fleet has finished.
 Report table4_shard_worker_report(const CampaignOptions& options,
                                   std::ostream* progress) {
-  const exp::CampaignConfig cc = campaign_config(options);
   const std::vector<Table4Slice> slices =
-      build_table4_slices(options, cc, "table4");
-  const auto shard = static_cast<std::size_t>(options.shard_index);
-  const auto shard_count = static_cast<std::size_t>(options.shard_count);
-  const std::string tag =
-      std::to_string(shard + 1) + "/" + std::to_string(shard_count);
+      build_table4_slices(options, campaign_config(options), "table4");
+  run_slices(slices, options, progress);
 
+  const OwnShard shard = own_shard(options);
+  const std::string tag =
+      std::to_string(shard.index + 1) + "/" + std::to_string(shard.count);
   Report report("Table IV shard " + tag + ": slice summary (run `merge` "
                 "after all shards finish)",
                 {"strategy", "shard", "slice_sims", "slice_chunks",
                  "checkpoint_file"});
   std::size_t slice_total = 0;
-  for (const Table4Slice& slice : slices)
-    slice_total +=
-        exp::ShardPlan(slice.grid.size(), shard_count).items_in(shard);
-
-  // One decile display over this worker's whole slice set, driven by the
-  // same cumulative counts a coordinator-forked worker would pipe out.
-  const exp::CampaignProgressFn display =
-      decile_progress(progress, "table4 shard " + tag);
-  run_table4_worker_slices(
-      slices, options, cc, shard, shard_count,
-      [&](std::size_t completed) {
-        if (display) display(exp::CampaignProgress{completed, slice_total});
-      });
   for (const Table4Slice& slice : slices) {
-    const exp::ShardPlan plan(slice.grid.size(), shard_count);
-    report.add_row({to_string(slice.row.kind), tag, ll(plan.items_in(shard)),
-                    ll(plan.chunks_for(shard).chunk_count()),
-                    slice_checkpoint_file(options.checkpoint, slice.name,
-                                          slice.fingerprint, shard,
-                                          shard_count)});
+    const exp::ShardPlan plan(slice.grid.size(), shard.count);
+    slice_total += plan.items_in(shard.index);
+    report.add_row({to_string(slice.row.kind), tag,
+                    ll(plan.items_in(shard.index)),
+                    ll(plan.chunks_for(shard.index).chunk_count()),
+                    checkpoint_path(options, slice.name, slice.grid)});
   }
   note(progress, "[table4 shard " + tag + "] slice complete: " +
                      std::to_string(slice_total) + " sims checkpointed");
@@ -510,12 +338,9 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
 
   // In process, the streaming runner keeps O(chunks) live memory instead
   // of one result per simulation, and the five slices share one pool.
-  const std::vector<exp::Aggregate> aggs =
-      options.shards > 1
-          ? run_table4_sharded(options, progress)
-          : run_slices(build_table4_slices(options, campaign_config(options),
-                                           "table4"),
-                       options, progress);
+  const std::vector<exp::Aggregate> aggs = run_slices(
+      build_table4_slices(options, campaign_config(options), "table4"),
+      options, progress);
   Report report = make_table4_report();
   const auto& strategies = table4_strategies();
   for (std::size_t i = 0; i < strategies.size(); ++i) {
@@ -535,8 +360,12 @@ Report table4_merge_report(const CampaignOptions& options,
 
   Report report = make_table4_report();
   for (const Table4Slice& slice : slices) {
-    const exp::Aggregate agg = exp::merge_slice_files(
-        slice.grid, shard_slice_files(options, slice, shard_count));
+    // The files the --shard i/N workers wrote, in shard order.
+    std::vector<std::string> paths;
+    for (std::size_t s = 0; s < shard_count; ++s)
+      paths.push_back(slice_checkpoint_file(
+          options.checkpoint, slice.name, slice.fingerprint, s, shard_count));
+    const exp::Aggregate agg = exp::merge_slice_files(slice.grid, paths);
     add_table4_row(report, slice.row, agg);
     note(progress, "[merge] " + to_string(slice.row.kind) + ": " +
                        std::to_string(agg.simulations) + " sims from " +
@@ -977,9 +806,8 @@ const std::vector<CampaignCommand>& campaign_commands() {
        "with false alarms on attack-free drives",
        &defense_report},
       {"merge", "Table IV",
-       "fold per-shard table4 checkpoint slices (--shards/--shard runs) "
-       "into the exact Table IV report, byte-identical to a single-process "
-       "run",
+       "fold the slice files of a table4 --shard i/N fleet into the exact "
+       "Table IV report, byte-identical to a single-process run",
        &table4_merge_report},
       {"run", "Fig. 5 rig",
        "one simulation: free-running, or --realtime deadline-clocked with "
@@ -1082,20 +910,14 @@ int run_campaign_command(const std::string& name,
                   "restore completed chunks from --checkpoint files and run "
                   "only the rest (fresh files are created when absent)");
   }
-  if (shardable) {
-    args.add_int("--shards", 0,
-                 "fork N worker processes, each running its deterministic "
-                 "slice of every strategy (requires --checkpoint); the "
-                 "merged report is byte-identical to a single-process run",
-                 0, 1024);
+  if (shardable)
     args.add_string("--shard", "",
                     "run one slice in-process for manual fleet dispatch, as "
                     "i/N with 1-based i (requires --checkpoint); fold the "
                     "fleet's files afterwards with `merge --shards N`");
-  }
   if (is_merge) {
     args.add_int("--shards", 1,
-                 "how many shards the table4 campaign was split into", 1,
+                 "fleet size N of the table4 --shard i/N runs to fold", 1,
                  1024);
     args.add_string("--checkpoint", "",
                     "checkpoint path stem the shard slice files were written "
@@ -1153,8 +975,6 @@ int run_campaign_command(const std::string& name,
     }
   }
   if (shardable) {
-    if (!narrowed_int(args, "--shards", options.shards, cmd->name, err))
-      return 2;
     const std::string& shard_spec = args.get_string("--shard");
     if (!shard_spec.empty() &&
         !parse_shard_spec(shard_spec, options.shard_index,
@@ -1164,18 +984,10 @@ int run_campaign_command(const std::string& name,
           << args.usage();
       return 2;
     }
-    if (options.shards > 0 && options.shard_count > 0) {
+    if (options.shard_count > 0 && options.checkpoint.empty()) {
       err << "scaa_campaign " << cmd->name
-          << ": --shards (coordinator) and --shard (manual worker) are "
-             "mutually exclusive\n"
-          << args.usage();
-      return 2;
-    }
-    if ((options.shards > 1 || options.shard_count > 0) &&
-        options.checkpoint.empty()) {
-      err << "scaa_campaign " << cmd->name
-          << ": sharded runs require --checkpoint PATH (each worker "
-             "checkpoints its slice there; merge folds the files)\n"
+          << ": --shard requires --checkpoint PATH (the worker checkpoints "
+             "its slice there; merge folds the fleet's files)\n"
           << args.usage();
       return 2;
     }

@@ -105,13 +105,12 @@ constexpr std::uint64_t bus_tick_workload_count(std::uint64_t ticks) {
 /// Knobs common to all campaigns; each subcommand maps its flags here.
 struct CampaignOptions {
   int reps = 1;             ///< repetitions per grid cell (paper: 20)
-  std::size_t threads = 0;  ///< worker threads (0 = hardware concurrency;
-                            ///< sharded: threads PER WORKER, 0 = hw/shards)
+  std::size_t threads = 0;  ///< worker threads (0 = hardware concurrency)
   std::uint64_t seed = 2022;  ///< base seed mixed into every simulation
   int decimate = 10;        ///< fig7 only: keep every n-th trace row
   std::string checkpoint;   ///< checkpoint path stem; empty = no checkpoint
   bool resume = false;      ///< load completed chunks from the checkpoint
-  int shards = 0;        ///< table4/merge: worker processes (0/1 = off)
+  int shards = 0;        ///< merge: fleet size N of the --shard i/N runs
   int shard_index = -1;  ///< manual --shard i/N worker: 0-based slice index
   int shard_count = 0;   ///< manual --shard i/N worker: fleet size (0 = off)
   // `run` only:
@@ -167,8 +166,8 @@ struct Table4Strategy {
 };
 
 /// The paper's Table IV strategy grid, in presentation order. The
-/// in-process, sharded and merge paths all iterate this single definition
-/// so they can never reproduce different experiments.
+/// in-process, shard worker and merge paths all iterate this single
+/// definition so they can never reproduce different experiments.
 const std::vector<Table4Strategy>& table4_strategies();
 
 /// Live per-chunk progress for the streaming runner: prints one status line
@@ -182,24 +181,18 @@ exp::CampaignProgressFn decile_progress(std::ostream* out,
 /// Table IV: attack-strategy comparison with an alert driver. One row per
 /// strategy. @p progress (may be null) receives per-strategy status lines.
 ///
-/// Three execution modes, selected by the options:
-///  - default: run every strategy in-process, all five grids through one
-///    exp::run_campaigns_streaming call (one pool), every slice's
-///    checkpoint opened before the first simulation.
-///  - options.shards > 1 (coordinator): fork that many worker processes,
-///    each running its deterministic slice of every strategy into its own
-///    checkpoint file, multiplex their pipe progress into one decile
-///    display, then merge the slice files — the returned report is
-///    byte-identical to the default mode.
-///  - options.shard_count > 0 (manual worker, --shard i/N): run only this
-///    worker's slice in-process and return a slice summary; a later
-///    `merge` folds the fleet's files into the real Table IV report.
+/// All five strategy grids run through one exp::run_campaigns_streaming
+/// call (one pool), every slice's checkpoint opened before the first
+/// simulation. With options.shard_count > 0 (manual worker, --shard i/N)
+/// the same call runs only this worker's ShardPlan chunks of each grid into
+/// its own shard-suffixed checkpoint files and returns a slice summary; a
+/// later `merge` folds the fleet's files into the real Table IV report.
 Report table4_report(const CampaignOptions& options, std::ostream* progress);
 
 /// `scaa_campaign merge`: fold the per-shard checkpoint slice files of a
-/// sharded table4 run (coordinator or manual fleet) into the exact Table IV
-/// report — byte-identical to a single-process `table4` run with the same
-/// --reps/--seed. Requires options.checkpoint and options.shards.
+/// table4 --shard i/N fleet into the exact Table IV report — byte-identical
+/// to a single-process `table4` run with the same --reps/--seed. Requires
+/// options.checkpoint and options.shards (the fleet size N).
 Report table4_merge_report(const CampaignOptions& options,
                            std::ostream* progress);
 

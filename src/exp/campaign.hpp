@@ -91,8 +91,8 @@ class CampaignCheckpoint;  // exp/checkpoint.hpp: streaming-aggregate mode
 class ResultsCheckpoint;   // exp/checkpoint.hpp: per-item results mode
 
 /// Half-open range of kCampaignChunk-sized chunks [begin_chunk, end_chunk)
-/// in a grid's global chunk index space. The unit the sharded coordinator
-/// partitions campaigns by (exp::ShardPlan): because shard boundaries fall
+/// in a grid's global chunk index space: the unit exp::ShardPlan splits a
+/// grid into --shard i/N worker slices by. Because shard boundaries fall
 /// on chunk boundaries — the reduction and checkpoint-commit granularity —
 /// per-slice partials merged back in global chunk order are bit-identical
 /// to a single-process run.

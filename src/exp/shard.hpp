@@ -42,8 +42,8 @@ namespace scaa::exp {
 
 /// Deterministic partition of a grid's chunks into N contiguous slices.
 /// Slice boundaries depend only on (item count, shard count): every
-/// participant — coordinator, manually dispatched worker, merge — computes
-/// the identical plan with no communication.
+/// participant — each --shard i/N worker and merge — computes the
+/// identical plan with no communication.
 class ShardPlan {
  public:
   /// Throws std::invalid_argument when @p n_shards is 0.

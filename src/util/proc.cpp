@@ -1,38 +1,14 @@
 #include "util/proc.hpp"
 
-#include <poll.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
-#include <system_error>
-
-#include "util/logging.hpp"
 
 namespace scaa::util {
-
-namespace {
-
-[[noreturn]] void throw_errno(const char* what) {
-  throw std::system_error(errno, std::generic_category(), what);
-}
-
-}  // namespace
 
 void UniqueFd::reset(int fd) noexcept {
   if (fd_ >= 0) ::close(fd_);
   fd_ = fd;
-}
-
-PipeFds make_pipe() {
-  int fds[2];
-  if (::pipe(fds) != 0) throw_errno("pipe");
-  PipeFds p;
-  p.read_end.reset(fds[0]);
-  p.write_end.reset(fds[1]);
-  return p;
 }
 
 bool write_all(int fd, const void* data, std::size_t size) noexcept {
@@ -48,139 +24,6 @@ bool write_all(int fd, const void* data, std::size_t size) noexcept {
     left -= static_cast<std::size_t>(n);
   }
   return true;
-}
-
-bool write_line(int fd, std::string_view line) noexcept {
-  std::string framed(line);
-  framed += '\n';
-  return write_all(fd, framed.data(), framed.size());
-}
-
-std::string ExitStatus::describe() const {
-  if (exited) return "exit code " + std::to_string(code);
-  const char* name = ::strsignal(signal);
-  return "killed by signal " + std::to_string(signal) +
-         (name != nullptr ? " (" + std::string(name) + ")" : std::string());
-}
-
-ExitStatus wait_child(pid_t pid) {
-  int status = 0;
-  for (;;) {
-    const pid_t r = ::waitpid(pid, &status, 0);
-    if (r == pid) break;
-    if (r < 0 && errno == EINTR) continue;
-    throw_errno("waitpid");
-  }
-  ExitStatus result;
-  if (WIFEXITED(status)) {
-    result.exited = true;
-    result.code = WEXITSTATUS(status);
-  } else if (WIFSIGNALED(status)) {
-    result.signal = WTERMSIG(status);
-  }
-  return result;
-}
-
-ForkedWorker fork_worker(const std::function<int(int progress_fd)>& body) {
-  PipeFds pipe = make_pipe();
-  const pid_t pid = ::fork();
-  if (pid < 0) throw_errno("fork");
-  if (pid == 0) {
-    // Child. Drop the read end, ignore SIGPIPE (a dead coordinator must
-    // not kill a worker mid-slice), run the body, and _exit without
-    // touching the parent's atexit handlers or stream buffers.
-    pipe.read_end.reset();
-    ::signal(SIGPIPE, SIG_IGN);
-    int code = 125;
-    try {
-      code = body(pipe.write_end.get());
-    } catch (...) {
-      // The body contract is to catch its own exceptions; 125 marks the
-      // violation distinctly from an ordinary failure exit.
-    }
-    ::_exit(code);
-  }
-  ForkedWorker worker;
-  worker.pid = pid;
-  worker.progress = std::move(pipe.read_end);
-  return worker;
-}
-
-LineMux::LineMux(std::vector<int> fds)
-    : fds_(std::move(fds)),
-      buffers_(fds_.size()),
-      scanned_(fds_.size(), 0) {}
-
-void LineMux::run(
-    const std::function<void(std::size_t, std::string_view)>& on_line,
-    const std::function<bool()>& interrupted) {
-  std::vector<bool> open(fds_.size(), true);
-  std::size_t open_count = fds_.size();
-  std::vector<struct pollfd> pfds(fds_.size());
-
-  // Single-pass drain: scanned_[i] marks how far the buffer is known
-  // newline-free, so each arriving byte is examined once no matter how
-  // many tiny writes delivered it.
-  auto flush_lines = [&](std::size_t i) {
-    std::string& buf = buffers_[i];
-    std::size_t begin = 0;
-    std::size_t search = scanned_[i];
-    for (;;) {
-      const std::size_t eol = buf.find('\n', search);
-      if (eol == std::string::npos) break;
-      on_line(i, std::string_view(buf).substr(begin, eol - begin));
-      begin = eol + 1;
-      search = begin;
-    }
-    buf.erase(0, begin);
-    scanned_[i] = buf.size();
-  };
-
-  while (open_count > 0) {
-    if (interrupted && interrupted()) return;
-    std::size_t n = 0;
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if (!open[i]) continue;
-      pfds[n].fd = fds_[i];
-      pfds[n].events = POLLIN;
-      pfds[n].revents = 0;
-      ++n;
-    }
-    const int ready = ::poll(pfds.data(), n, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;  // interrupted() is re-checked above
-      throw std::system_error(errno, std::generic_category(), "poll");
-    }
-    std::size_t slot = 0;
-    for (std::size_t i = 0; i < fds_.size(); ++i) {
-      if (!open[i]) continue;
-      const struct pollfd& p = pfds[slot++];
-      if (p.revents == 0) continue;
-      char chunk[4096];
-      const ssize_t got = ::read(p.fd, chunk, sizeof chunk);
-      if (got > 0) {
-        buffers_[i].append(chunk, static_cast<std::size_t>(got));
-        flush_lines(i);
-      } else if (got == 0 || (got < 0 && errno != EINTR)) {
-        // EOF, or a hard error that closes the slot like EOF — but say so:
-        // the worker's exit status is the authoritative failure signal,
-        // yet a silent ECONNRESET/EBADF here would leave a truncated
-        // progress stream unexplained.
-        if (got < 0) {
-          SCAA_LOG_WARN() << "LineMux: read error on fd " << p.fd << " ("
-                          << std::strerror(errno)
-                          << "); closing the slot like EOF";
-        }
-        if (!buffers_[i].empty()) {
-          on_line(i, buffers_[i]);
-          buffers_[i].clear();
-          scanned_[i] = 0;
-        }
-        open[i] = false;
-        --open_count;
-      }
-    }
-  }
 }
 
 }  // namespace scaa::util

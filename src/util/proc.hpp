@@ -1,28 +1,10 @@
 #pragma once
 
 /// @file proc.hpp
-/// Minimal process and pipe helpers for the campaign coordinator.
-///
-/// The sharded campaign runner forks one worker process per slice and
-/// multiplexes their progress over pipes. These are deliberately thin
-/// wrappers over fork(2)/pipe(2)/poll(2)/waitpid(2): no exec, no shell,
-/// no signals machinery beyond ignoring SIGPIPE in workers — a worker
-/// whose coordinator died keeps running (its results are checkpointed;
-/// a later `merge` picks them up) instead of dying on a pipe write. The
-/// coordinator's own SIGINT/SIGTERM forwarding lives in the campaign
-/// layer; LineMux only offers the interruption hook it needs.
-///
-/// fork-without-exec is safe here because the coordinator forks before it
-/// creates any threads: campaign thread pools are scoped to a run, and the
-/// coordinator itself never simulates.
-
-#include <sys/types.h>
+/// File-descriptor helpers for the FIFO tap (exp::FifoTap): an owning fd
+/// and a full write that reports a vanished reader instead of failing.
 
 #include <cstddef>
-#include <functional>
-#include <string>
-#include <string_view>
-#include <vector>
 
 namespace scaa::util {
 
@@ -58,79 +40,10 @@ class UniqueFd {
   int fd_ = -1;
 };
 
-/// Both ends of a pipe(2). Throws std::system_error on failure.
-struct PipeFds {
-  UniqueFd read_end;
-  UniqueFd write_end;
-};
-PipeFds make_pipe();
-
 /// Write all @p size bytes of @p data to @p fd, retrying on EINTR and
 /// short writes. Returns false on any other error (errno is preserved for
 /// the caller to report). Callers must ignore SIGPIPE if the fd can be a
 /// pipe whose reader may vanish.
 bool write_all(int fd, const void* data, std::size_t size) noexcept;
-
-/// Write @p line plus a trailing '\n' to @p fd, retrying on EINTR and
-/// short writes. Returns false (instead of throwing) when the reader is
-/// gone (EPIPE) or the write fails otherwise — progress reporting must
-/// never kill a worker whose results are still being checkpointed.
-/// Callers must ignore SIGPIPE (fork_worker's children do).
-bool write_line(int fd, std::string_view line) noexcept;
-
-/// Decoded waitpid(2) status.
-struct ExitStatus {
-  bool exited = false;  ///< terminated via exit(); `code` is valid
-  int code = -1;        ///< exit code when `exited`
-  int signal = 0;       ///< terminating signal when !`exited`
-
-  bool ok() const noexcept { return exited && code == 0; }
-  /// Human-readable form: "exit code 1", "killed by signal 9 (SIGKILL)".
-  std::string describe() const;
-};
-
-/// Blocking waitpid for @p pid. Throws std::system_error if waitpid fails
-/// (e.g. the pid is not a child of this process).
-ExitStatus wait_child(pid_t pid);
-
-/// One forked worker: the child runs `body(progress_fd)` with SIGPIPE
-/// ignored and `_exit`s with its return value (never returning into the
-/// parent's stack, atexit handlers, or buffered streams); the parent keeps
-/// the pipe's read end. Throws std::system_error when fork fails. The body
-/// must not let exceptions escape (fork_worker _exits 125 if one does, so
-/// a bug cannot fall through and resume the parent's control flow twice).
-struct ForkedWorker {
-  pid_t pid = -1;
-  UniqueFd progress;  ///< read end of the worker's progress pipe
-};
-ForkedWorker fork_worker(const std::function<int(int progress_fd)>& body);
-
-/// Poll-based line demultiplexer over a set of pipe read ends: run()
-/// blocks until every fd reaches EOF, invoking on_line(index, line) for
-/// each complete '\n'-terminated line in arrival order (a final unterminated
-/// fragment is delivered at EOF). A hard read error on one fd closes that
-/// slot like EOF — after logging the errno (the worker's exit status is the
-/// authoritative failure signal) and after delivering any buffered
-/// fragment. The fds are borrowed, not owned.
-class LineMux {
- public:
-  explicit LineMux(std::vector<int> fds);
-
-  /// @p interrupted (optional) is checked each loop iteration and after
-  /// every EINTR-interrupted poll: returning true makes run() return early
-  /// with slots still open — the hook a signal-forwarding coordinator uses
-  /// to stop multiplexing and go kill its workers (its handler makes the
-  /// predicate true and the signal itself makes poll return EINTR).
-  void run(const std::function<void(std::size_t, std::string_view)>& on_line,
-           const std::function<bool()>& interrupted = {});
-
- private:
-  std::vector<int> fds_;
-  std::vector<std::string> buffers_;
-  /// Per-buffer index up to which no '\n' exists: each arriving chunk is
-  /// scanned exactly once, so a pathological newline-free flood of tiny
-  /// writes costs O(bytes), not O(bytes^2) whole-buffer rescans.
-  std::vector<std::size_t> scanned_;
-};
 
 }  // namespace scaa::util

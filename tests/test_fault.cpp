@@ -460,12 +460,27 @@ TEST(FaultCli, FaultsTableDeterministicAcrossThreads) {
   std::remove(plan.c_str());
 }
 
+/// The JSON object of the first row in @p report that starts with
+/// @p row_prefix (e.g. `{"family":"none"`), without the prefix.
+std::string json_row_tail(const std::string& report,
+                          const std::string& row_prefix) {
+  const std::size_t begin = report.find(row_prefix);
+  if (begin == std::string::npos) {
+    ADD_FAILURE() << "no row " << row_prefix;
+    return {};
+  }
+  const std::size_t tail = begin + row_prefix.size();
+  return report.substr(tail, report.find('}', tail) - tail);
+}
+
 TEST(FaultCli, CheckpointCollisionFailsBeforeAnySimulation) {
   // Every leg's slice file opens before the first simulation: a stale file
   // for the LAST leg must fail the run up front, not after the earlier
-  // legs have been simulated.
+  // legs have been simulated — and leave nothing else behind, so the same
+  // command succeeds once the stale file is gone. The plan is the built-in
+  // sweep's can_drop/med cell, so the rerun's rows are BENCH_faults.json's.
   const std::string plan =
-      write_plan_file("cli_ckpt.txt", "can_drop rate=0.1\n");
+      write_plan_file("cli_ckpt.txt", "can_drop rate=0.05\n");
   const std::string dir = temp_path("precreated_ckpt");
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
@@ -484,15 +499,27 @@ TEST(FaultCli, CheckpointCollisionFailsBeforeAnySimulation) {
       stem, "faults custom-plan attack", exp::grid_fingerprint(grid));
   std::ofstream(last_leg) << "stale\n";
 
+  const std::vector<std::string> tokens = {
+      "--fault-plan", plan,  "--reps",       "1",  "--seed",   "2022",
+      "--threads",    "4",   "--checkpoint", stem, "--format", "json"};
   std::string err;
-  EXPECT_EQ(run_cli("faults",
-                    {"--fault-plan", plan, "--reps", "1", "--seed", "2022",
-                     "--threads", "4", "--checkpoint", stem, "--format",
-                     "csv"},
-                    nullptr, &err),
-            1);
+  EXPECT_EQ(run_cli("faults", tokens, nullptr, &err), 1);
   EXPECT_NE(err.find("already exists"), std::string::npos) << err;
   EXPECT_EQ(err.find(" sims"), std::string::npos) << err;
+
+  std::filesystem::remove(last_leg);
+  std::string out;
+  ASSERT_EQ(run_cli("faults", tokens, &out, &err), 0) << err;
+  std::ifstream golden_file(std::string(SCAA_SOURCE_DIR) +
+                            "/BENCH_faults.json");
+  std::stringstream golden;
+  golden << golden_file.rdbuf();
+  ASSERT_FALSE(golden.str().empty());
+  EXPECT_EQ(json_row_tail(out, R"({"family":"none",)"),
+            json_row_tail(golden.str(), R"({"family":"none",)"));
+  EXPECT_EQ(json_row_tail(out, R"({"family":"custom","intensity":"plan",)"),
+            json_row_tail(golden.str(),
+                          R"({"family":"can_drop","intensity":"med",)"));
   std::filesystem::remove_all(dir);
   std::remove(plan.c_str());
 }

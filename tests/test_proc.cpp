@@ -1,7 +1,5 @@
-// Tests for the process/pipe primitives under the sharded campaign
-// coordinator: fd ownership, pipe line framing, fork_worker exit-status
-// plumbing (codes, signals, escaped exceptions), and the LineMux
-// demultiplexer the coordinator's progress display runs on.
+// Tests for the fd helpers under the FIFO tap: UniqueFd ownership and
+// write_all's full writes, including its reader-gone path.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +7,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <map>
 #include <string>
-#include <vector>
 
 #include "util/proc.hpp"
 
@@ -19,8 +15,20 @@ namespace {
 
 using namespace scaa;
 
+/// Both ends of a fresh pipe(2), owned.
+struct Pipe {
+  util::UniqueFd read_end;
+  util::UniqueFd write_end;
+};
+
+Pipe open_pipe() {
+  int fds[2];
+  EXPECT_EQ(::pipe(fds), 0);
+  return {util::UniqueFd(fds[0]), util::UniqueFd(fds[1])};
+}
+
 TEST(UniqueFd, ClosesOnDestroy) {
-  util::PipeFds pipe = util::make_pipe();
+  Pipe pipe = open_pipe();
   const int raw = pipe.read_end.get();
   ASSERT_GE(raw, 0);
   { util::UniqueFd owner(pipe.read_end.release()); }
@@ -30,7 +38,7 @@ TEST(UniqueFd, ClosesOnDestroy) {
 }
 
 TEST(UniqueFd, MoveTransfersOwnership) {
-  util::PipeFds pipe = util::make_pipe();
+  Pipe pipe = open_pipe();
   const int raw = pipe.write_end.get();
   util::UniqueFd moved(std::move(pipe.write_end));
   EXPECT_EQ(pipe.write_end.get(), -1);
@@ -42,203 +50,26 @@ TEST(UniqueFd, MoveTransfersOwnership) {
   EXPECT_EQ(::fcntl(raw, F_GETFD) >= 0, true);
 }
 
-TEST(WriteLine, AppendsNewlineAndRoundTrips) {
-  util::PipeFds pipe = util::make_pipe();
-  ASSERT_TRUE(util::write_line(pipe.write_end.get(), "P 42"));
+TEST(WriteAll, RoundTrips) {
+  Pipe pipe = open_pipe();
+  const std::string frame = "P 42\n";
+  ASSERT_TRUE(
+      util::write_all(pipe.write_end.get(), frame.data(), frame.size()));
   char buf[16] = {};
   const ssize_t n = ::read(pipe.read_end.get(), buf, sizeof(buf));
-  EXPECT_EQ(std::string(buf, static_cast<std::size_t>(n)), "P 42\n");
+  EXPECT_EQ(std::string(buf, static_cast<std::size_t>(n)), frame);
 }
 
-TEST(WriteLine, ReturnsFalseWhenReaderGone) {
-  // write_line must never kill the caller: a worker whose coordinator died
-  // keeps simulating (its chunks are checkpointed).
+TEST(WriteAll, ReturnsFalseWhenReaderGone) {
+  // write_all must never kill the caller: the tap's simulation keeps
+  // running after its reader hangs up.
   auto* previous = std::signal(SIGPIPE, SIG_IGN);
-  util::PipeFds pipe = util::make_pipe();
+  Pipe pipe = open_pipe();
   pipe.read_end.reset();
-  EXPECT_FALSE(util::write_line(pipe.write_end.get(), "orphaned"));
+  const std::string frame = "orphaned";
+  EXPECT_FALSE(
+      util::write_all(pipe.write_end.get(), frame.data(), frame.size()));
   std::signal(SIGPIPE, previous);
-}
-
-TEST(ExitStatus, DescribeNamesCodesAndSignals) {
-  util::ExitStatus code;
-  code.exited = true;
-  code.code = 3;
-  EXPECT_NE(code.describe().find("3"), std::string::npos);
-  EXPECT_TRUE(code.exited);
-  EXPECT_FALSE(code.ok());
-  util::ExitStatus sig;
-  sig.exited = false;
-  sig.signal = SIGKILL;
-  EXPECT_NE(sig.describe().find("signal 9"), std::string::npos);
-  EXPECT_FALSE(sig.ok());
-}
-
-TEST(ForkWorker, PropagatesExitCodeAndProgress) {
-  util::ForkedWorker worker = util::fork_worker([](int fd) {
-    util::write_line(fd, "hello from child");
-    return 7;
-  });
-  std::string received;
-  char buf[64];
-  ssize_t n;
-  while ((n = ::read(worker.progress.get(), buf, sizeof(buf))) > 0)
-    received.append(buf, static_cast<std::size_t>(n));
-  EXPECT_EQ(received, "hello from child\n");
-  const util::ExitStatus status = util::wait_child(worker.pid);
-  EXPECT_TRUE(status.exited);
-  EXPECT_EQ(status.code, 7);
-  EXPECT_FALSE(status.ok());
-}
-
-TEST(ForkWorker, ZeroExitIsOk) {
-  util::ForkedWorker worker = util::fork_worker([](int) { return 0; });
-  EXPECT_TRUE(util::wait_child(worker.pid).ok());
-}
-
-TEST(ForkWorker, EscapedExceptionExits125) {
-  util::ForkedWorker worker = util::fork_worker(
-      [](int) -> int { throw std::runtime_error("child bug"); });
-  const util::ExitStatus status = util::wait_child(worker.pid);
-  EXPECT_TRUE(status.exited);
-  EXPECT_EQ(status.code, 125);
-}
-
-TEST(ForkWorker, KilledChildReportsSignal) {
-  util::ForkedWorker worker = util::fork_worker([](int fd) {
-    util::write_line(fd, "ready");
-    // Park until killed; the pipe read end going away must not matter.
-    for (;;) ::pause();
-    return 0;
-  });
-  char buf[16];
-  ASSERT_GT(::read(worker.progress.get(), buf, sizeof(buf)), 0);
-  ASSERT_EQ(::kill(worker.pid, SIGKILL), 0);
-  const util::ExitStatus status = util::wait_child(worker.pid);
-  EXPECT_FALSE(status.exited);
-  EXPECT_EQ(status.signal, SIGKILL);
-  EXPECT_FALSE(status.ok());
-}
-
-TEST(LineMux, DemultiplexesInterleavedWriters) {
-  // Two workers interleave lines; LineMux must deliver each complete line
-  // tagged with its source index, and the unterminated tail at EOF.
-  util::ForkedWorker a = util::fork_worker([](int fd) {
-    util::write_line(fd, "a1");
-    util::write_line(fd, "a2");
-    // Unterminated fragment: delivered when the fd reaches EOF.
-    const char tail[] = "a-tail";
-    (void)!::write(fd, tail, sizeof(tail) - 1);
-    return 0;
-  });
-  util::ForkedWorker b = util::fork_worker([](int fd) {
-    util::write_line(fd, "b1");
-    return 0;
-  });
-
-  std::map<std::size_t, std::vector<std::string>> lines;
-  util::LineMux mux({a.progress.get(), b.progress.get()});
-  mux.run([&](std::size_t index, std::string_view line) {
-    lines[index].emplace_back(line);
-  });
-
-  EXPECT_TRUE(util::wait_child(a.pid).ok());
-  EXPECT_TRUE(util::wait_child(b.pid).ok());
-  EXPECT_EQ(lines[0],
-            (std::vector<std::string>{"a1", "a2", "a-tail"}));
-  EXPECT_EQ(lines[1], (std::vector<std::string>{"b1"}));
-}
-
-TEST(LineMux, SplitWriteFloodDeliversOneIntactLine) {
-  // Regression: a newline-free flood of tiny writes used to rescan the
-  // whole accumulated buffer on every chunk (quadratic). The single-pass
-  // drain must still deliver the eventual line intact — this test pins the
-  // correctness of the scanned_-offset bookkeeping under exactly that
-  // pattern; 64 KiB of 1-byte writes also makes an accidental O(n^2)
-  // regression painfully visible in the suite's runtime.
-  constexpr std::size_t kFloodBytes = 64 * 1024;
-  util::ForkedWorker worker = util::fork_worker([](int fd) {
-    for (std::size_t i = 0; i < kFloodBytes; ++i) {
-      const char c = static_cast<char>('a' + (i % 26));
-      if (::write(fd, &c, 1) != 1) return 1;
-    }
-    const char nl = '\n';
-    if (::write(fd, &nl, 1) != 1) return 1;
-    return util::write_line(fd, "after") ? 0 : 1;
-  });
-  std::vector<std::string> lines;
-  util::LineMux mux({worker.progress.get()});
-  mux.run([&](std::size_t, std::string_view line) {
-    lines.emplace_back(line);
-  });
-  EXPECT_TRUE(util::wait_child(worker.pid).ok());
-  ASSERT_EQ(lines.size(), 2u);
-  ASSERT_EQ(lines[0].size(), kFloodBytes);
-  for (std::size_t i = 0; i < kFloodBytes; ++i) {
-    if (lines[0][i] != static_cast<char>('a' + (i % 26))) {
-      FAIL() << "flood line corrupted at byte " << i;
-    }
-  }
-  EXPECT_EQ(lines[1], "after");
-}
-
-TEST(LineMux, ReadErrorClosesSlotAndKeepsDrainingOthers) {
-  // Regression: a hard read error on one fd used to be indistinguishable
-  // from EOF. The slot must close (after logging) without hanging the mux
-  // or starving the healthy fds. A directory fd polls readable but read(2)
-  // fails with EISDIR — a deterministic hard error.
-  util::UniqueFd dir(::open(".", O_RDONLY | O_DIRECTORY));
-  ASSERT_TRUE(dir);
-  util::ForkedWorker worker = util::fork_worker([](int fd) {
-    return util::write_line(fd, "healthy") ? 0 : 1;
-  });
-  std::map<std::size_t, std::vector<std::string>> lines;
-  util::LineMux mux({dir.get(), worker.progress.get()});
-  mux.run([&](std::size_t index, std::string_view line) {
-    lines[index].emplace_back(line);
-  });
-  EXPECT_TRUE(util::wait_child(worker.pid).ok());
-  EXPECT_TRUE(lines[0].empty());
-  EXPECT_EQ(lines[1], (std::vector<std::string>{"healthy"}));
-}
-
-TEST(LineMux, InterruptedPredicateStopsTheLoop) {
-  // The hook the signal-forwarding coordinator uses: when the predicate
-  // turns true, run() must return promptly even though the fds are still
-  // open (the caller goes on to kill and reap its workers).
-  util::PipeFds pipe = util::make_pipe();
-  bool interrupted = false;
-  std::size_t delivered = 0;
-  ASSERT_TRUE(util::write_line(pipe.write_end.get(), "one"));
-  util::LineMux mux({pipe.read_end.get()});
-  mux.run(
-      [&](std::size_t, std::string_view) {
-        ++delivered;
-        interrupted = true;  // "signal" arrives after the first line
-      },
-      [&] { return interrupted; });
-  EXPECT_EQ(delivered, 1u);
-  // The write end is still open: without the predicate run() would block
-  // here forever waiting for EOF. Reaching this line is the assertion.
-}
-
-TEST(LineMux, SplitWritesReassemble) {
-  // A line written byte-by-byte across many write(2) calls must still be
-  // delivered as one line.
-  util::ForkedWorker worker = util::fork_worker([](int fd) {
-    const std::string line = "P 12345\n";
-    for (const char c : line) {
-      if (::write(fd, &c, 1) != 1) return 1;
-    }
-    return 0;
-  });
-  std::vector<std::string> lines;
-  util::LineMux mux({worker.progress.get()});
-  mux.run([&](std::size_t, std::string_view line) {
-    lines.emplace_back(line);
-  });
-  EXPECT_TRUE(util::wait_child(worker.pid).ok());
-  EXPECT_EQ(lines, (std::vector<std::string>{"P 12345"}));
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // and the headline guarantee — per-slice checkpoint files merged in global
 // chunk order are bit-identical to a single-process run, across shard
 // counts, empty slices, torn tails repaired by resume, and the CLI
-// coordinator/worker/merge surface.
+// --shard i/N worker and merge surface.
 
 #include <gtest/gtest.h>
 
@@ -312,69 +312,134 @@ std::pair<int, std::string> run_cli(const std::string& name,
   return {exit_code, out.str()};
 }
 
-TEST(ShardCli, CoordinatorAndMergeMatchSingleProcessByteForByte) {
-  // The coordinator refuses to clobber slice files without --resume, so a
-  // previous ctest run's leftovers must go before the fresh run.
+/// One row of the usage-error table: a command line and its exit code.
+struct UsageCase {
+  std::string name;  ///< one per behaviour; PrintTo makes it the CTest name
+  std::string command;
+  std::vector<std::string> tokens;
+  int exit_code;
+};
+
+void PrintTo(const UsageCase& c, std::ostream* os) { *os << c.name; }
+
+/// The CLI suite's fixture. TEST_P below runs the usage-error table; the
+/// fleet tests are TEST_Fs on the same fixture so all of them stay one
+/// `ShardCli` suite.
+class ShardCli : public testing::TestWithParam<UsageCase> {};
+
+/// One --shard i/N worker per i, all in process, then `merge --shards N`.
+TEST_F(ShardCli, ManualFleetAndMergeMatchSingleProcessByteForByte) {
+  // Workers refuse to clobber slice files without --resume, so a previous
+  // ctest run's leftovers must go before the fresh run.
   std::filesystem::remove_all(temp_path("cli"));
-  const std::string stem = temp_path("cli/ck");
   const std::vector<std::string> common = {"--reps", "1", "--seed", "9",
                                            "--format", "json"};
 
   auto reference = run_cli("table4", common);
   ASSERT_EQ(reference.first, 0);
 
-  // At 8 shards the 72-item strategy slices leave some workers with no
-  // chunks at all; those empty slices must fold in byte-identically too.
-  for (const std::string shards : {"2", "8"}) {
-    SCOPED_TRACE("--shards " + shards);
+  for (const int n : {2, 8}) {
+    SCOPED_TRACE("fleet of " + std::to_string(n));
+    const std::string stem = temp_path("cli/ck") + std::to_string(n);
+    bool empty_slice = false;
+    for (int i = 1; i <= n; ++i) {
+      auto tokens = common;
+      tokens.insert(tokens.end(),
+                    {"--shard", std::to_string(i) + "/" + std::to_string(n),
+                     "--checkpoint", stem});
+      auto worker = run_cli("table4", tokens);
+      ASSERT_EQ(worker.first, 0) << "worker " << i;
+      empty_slice = empty_slice || worker.second.find("\"slice_sims\":0,") !=
+                                       std::string::npos;
+    }
+    // At 8 workers the 72-item strategy slices (two chunks) leave some
+    // workers with no chunks at all; those empty slices must fold in
+    // byte-identically too.
+    EXPECT_EQ(empty_slice, n == 8);
+
     auto tokens = common;
     tokens.insert(tokens.end(),
-                  {"--shards", shards, "--checkpoint", stem + shards});
-    auto coordinated = run_cli("table4", tokens);
-    ASSERT_EQ(coordinated.first, 0);
-    EXPECT_EQ(reference.second, coordinated.second);
-
+                  {"--shards", std::to_string(n), "--checkpoint", stem});
     auto merged = run_cli("merge", tokens);
     ASSERT_EQ(merged.first, 0);
     EXPECT_EQ(reference.second, merged.second);
   }
 }
 
-TEST(ShardCli, UsageErrorsAreRejectedUpfront) {
-  // Sharding without a checkpoint stem has nowhere to put slice files.
-  EXPECT_EQ(run_cli("table4", {"--shards", "2"}).first, 2);
-  EXPECT_EQ(run_cli("table4", {"--shard", "1/2"}).first, 2);
-  // Coordinator and manual worker modes are mutually exclusive.
-  EXPECT_EQ(run_cli("table4", {"--shards", "2", "--shard", "1/2",
-                               "--checkpoint", temp_path("x")})
-                .first,
-            2);
-  // Malformed --shard specs.
-  for (const char* spec : {"0/2", "3/2", "2", "a/b", "1/0", "/2", "1/"}) {
-    EXPECT_EQ(run_cli("table4", {"--shard", spec, "--checkpoint",
-                                 temp_path("x")})
-                  .first,
-              2)
-        << spec;
-  }
-  // merge requires the stem.
-  EXPECT_EQ(run_cli("merge", {"--shards", "2"}).first, 2);
-  // merge before any worker ran: missing slice files is a clean failure.
-  EXPECT_EQ(run_cli("merge", {"--shards", "2", "--checkpoint",
-                              temp_path("cli-empty/ck")})
-                .first,
+TEST_F(ShardCli, WorkerSliceCollisionFailsBeforeAnySimulation) {
+  // A worker opens every strategy's slice file before its first
+  // simulation: a stale file for the LAST strategy fails it up front, and
+  // the files it had already created are removed again.
+  const std::string dir = temp_path("cli-collision");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stem = dir + "/ck";
+
+  exp::CampaignConfig cc;
+  cc.repetitions = 1;
+  cc.base_seed = 9;
+  const auto last_grid = exp::make_grid(attack::StrategyKind::kContextAware,
+                                        /*strategic_values=*/true,
+                                        /*driver_enabled=*/true, cc);
+  const std::string last = cli::slice_checkpoint_file(
+      stem, "table4 Context-Aware", exp::grid_fingerprint(last_grid), 0, 2);
+  write_file(last, "stale\n");
+
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_campaign_command(
+                "table4",
+                {"--reps", "1", "--seed", "9", "--shard", "1/2",
+                 "--checkpoint", stem},
+                out, err),
             1);
-  // Values that would truncate through the long long -> int narrowing are
-  // rejected at parse time (the ArgParser range check fires on the wide
-  // value): 2^32+1 must exit 2, never wrap to --shards 1.
-  EXPECT_EQ(run_cli("table4", {"--shards", "4294967297", "--checkpoint",
-                               temp_path("x")})
-                .first,
-            2);
-  EXPECT_EQ(run_cli("merge", {"--shards", "4294967297", "--checkpoint",
-                              temp_path("x")})
-                .first,
-            2);
+  EXPECT_NE(err.str().find("already exists"), std::string::npos) << err.str();
+  EXPECT_EQ(err.str().find(" sims"), std::string::npos) << err.str();
+
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().string());
+  EXPECT_EQ(left, std::vector<std::string>{last});
+  std::filesystem::remove_all(dir);
 }
+
+TEST_P(ShardCli, UsageErrorsAreRejectedUpfront) {
+  const UsageCase& c = GetParam();
+  EXPECT_EQ(run_cli(c.command, c.tokens).first, c.exit_code);
+}
+
+std::vector<UsageCase> usage_cases() {
+  const std::string x = temp_path("x");
+  auto bad_spec = [&](const std::string& name, const std::string& spec) {
+    return UsageCase{name, "table4", {"--shard", spec, "--checkpoint", x}, 2};
+  };
+  return {
+      // A worker without a checkpoint stem has nowhere to put its slice.
+      {"shard_without_checkpoint", "table4", {"--shard", "1/2"}, 2},
+      // Malformed --shard specs.
+      bad_spec("spec_index_zero", "0/2"),
+      bad_spec("spec_index_past_count", "3/2"),
+      bad_spec("spec_without_slash", "2"),
+      bad_spec("spec_not_numeric", "a/b"),
+      bad_spec("spec_count_zero", "1/0"),
+      bad_spec("spec_missing_index", "/2"),
+      bad_spec("spec_missing_count", "1/"),
+      // table4 has no --shards flag: one host runs one process.
+      {"table4_shards_is_unknown", "table4",
+       {"--shards", "2", "--checkpoint", x}, 2},
+      // merge requires the stem.
+      {"merge_without_checkpoint", "merge", {"--shards", "2"}, 2},
+      // merge before any worker ran: missing slice files is a clean
+      // failure.
+      {"merge_with_missing_slices", "merge",
+       {"--shards", "2", "--checkpoint", temp_path("cli-empty/ck")}, 1},
+      // A value that would truncate through the long long -> int narrowing
+      // is rejected at parse time (the ArgParser range check fires on the
+      // wide value): 2^32+1 must exit 2, never wrap to --shards 1.
+      {"merge_shards_past_int", "merge",
+       {"--shards", "4294967297", "--checkpoint", x}, 2},
+  };
+}
+
+INSTANTIATE_TEST_SUITE_P(, ShardCli, testing::ValuesIn(usage_cases()));
 
 }  // namespace

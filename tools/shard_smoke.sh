@@ -1,26 +1,23 @@
 #!/usr/bin/env bash
-# Multi-process shard orchestration smoke test.
+# Manual-fleet shard smoke test: SHARDS concurrent `table4 --shard i/N`
+# worker processes, then `merge`.
 #
 # Usage: shard_smoke.sh SCAA_CAMPAIGN_BIN WORKDIR [--kill]
 # Env:   REPS (default 1), SEED (default 2022), SHARDS (default 4)
 #
-# Runs the table4 campaign three ways and asserts all outputs are
-# byte-identical:
-#   1. single process (the reference),
-#   2. sharded coordinator with SHARDS forked workers — with --kill, one
-#      worker is SIGKILLed mid-run, the coordinator must exit non-zero,
-#      and a --resume rerun finishes from the fsync'd chunks; --kill also
-#      runs a kill-COORDINATOR case (SIGTERM to the coordinator itself):
-#      it must forward the signal, reap every worker (no orphans holding
-#      slice flocks), and leave the checkpoint immediately resumable,
-#   3. `scaa_campaign merge` folding the per-shard checkpoint slices.
-# The merged report is additionally diffed with bench_diff.py, which
-# exits non-zero on any cell that differs. A final case
-# splices a slice written under a fault-injection plan (`scaa_campaign
-# faults --fault-plan ...`) over one fault-free shard slice and asserts
-# the merge refuses the mix with a fingerprint mismatch — fault plans are
-# folded into the grid fingerprint exactly so mixed-provenance merges die
-# loudly instead of averaging faulted and fault-free statistics.
+# Runs the table4 campaign as a single process (the reference), then as a
+# fleet of SHARDS background `--shard i/N --checkpoint` workers, one thread
+# each. With --kill, the last worker is SIGKILLed once it has committed a
+# chunk: it must exit non-zero, and its `--resume` rerun must restore the
+# fsync'd chunks and complete. `scaa_campaign merge` then folds the
+# fleet's slice files, and its report must be byte-identical to the
+# reference (cmp, plus bench_diff.py, which exits non-zero on any cell
+# that differs). A final case splices a slice written under a
+# fault-injection plan (`scaa_campaign faults --fault-plan ...`) over one
+# fault-free shard slice and asserts the merge refuses the mix with a
+# fingerprint mismatch — fault plans are folded into the grid fingerprint
+# exactly so mixed-provenance merges die loudly instead of averaging
+# faulted and fault-free statistics.
 set -euo pipefail
 
 BIN=${1:?usage: shard_smoke.sh SCAA_CAMPAIGN_BIN WORKDIR [--kill]}
@@ -38,98 +35,69 @@ COMMON=(table4 --reps "$REPS" --seed "$SEED" --format json)
 echo "shard_smoke: single-process reference (reps=$REPS seed=$SEED)"
 "$BIN" "${COMMON[@]}" --out "$WORK/ref.json" >/dev/null
 
-if [ "$KILL" = "--kill" ]; then
-  echo "shard_smoke: coordinator with $SHARDS workers, SIGKILLing one mid-run"
-  set +e
-  "$BIN" "${COMMON[@]}" --shards "$SHARDS" --checkpoint "$WORK/ck" \
-    --out "$WORK/sharded.json" >"$WORK/coord.out" 2>"$WORK/coord.err" &
-  COORD=$!
-  # Give the coordinator time to fork, then kill whichever worker is still
-  # alive. On a fast machine every worker may already have finished — then
-  # there is nothing to kill and the run legitimately succeeds.
-  sleep 0.5
-  VICTIM=$(pgrep -P "$COORD" 2>/dev/null | head -n 1 || true)
-  if [ -n "$VICTIM" ]; then
-    kill -KILL "$VICTIM"
-  fi
-  wait "$COORD"
-  STATUS=$?
-  set -e
-  if [ -n "$VICTIM" ]; then
-    if [ "$STATUS" -eq 0 ]; then
-      echo "shard_smoke: FAIL — coordinator exited 0 after worker SIGKILL" >&2
-      exit 1
-    fi
-    echo "shard_smoke: coordinator failed as expected (status $STATUS)," \
-         "resuming from checkpoints"
-  else
-    echo "shard_smoke: workers finished before the kill; continuing"
-  fi
-  "$BIN" "${COMMON[@]}" --shards "$SHARDS" --checkpoint "$WORK/ck" --resume \
-    --out "$WORK/sharded.json" >/dev/null
+# Set WORKER to the command of worker i, one thread each so the fleet
+# shares the machine.
+worker_cmd() {
+  WORKER=("$BIN" "${COMMON[@]}" --threads 1 --shard "$1/$SHARDS"
+          --checkpoint "$WORK/ck" --out "$WORK/worker$1.json")
+}
 
-  echo "shard_smoke: coordinator-kill case — SIGTERM to the coordinator"
-  # Fresh checkpoint stem: the point of this case is that after SIGTERM the
-  # coordinator forwards the signal, reaps every worker, and releases the
-  # slice flocks so an IMMEDIATE --resume succeeds (no orphan holds a lock).
-  set +e
-  "$BIN" "${COMMON[@]}" --shards "$SHARDS" --checkpoint "$WORK/ck_term" \
-    --out "$WORK/sharded_term.json" \
-    >"$WORK/coord_term.out" 2>"$WORK/coord_term.err" &
-  COORD=$!
-  sleep 0.5
-  kill -TERM "$COORD" 2>/dev/null
-  TERM_SENT=$?
-  wait "$COORD"
-  STATUS=$?
-  set -e
-  if [ "$TERM_SENT" -eq 0 ]; then
-    # Workers are fork-without-exec, so they share the coordinator's argv
-    # (which names the unique ck_term stem): any survivor shows up here.
-    # This assertion holds whether the coordinator aborted or won the race
-    # and finished — either way nothing may be left holding slice flocks.
-    ORPHANS=$(pgrep -f "$WORK/ck_term" 2>/dev/null || true)
-    if [ -n "$ORPHANS" ]; then
-      echo "shard_smoke: FAIL — orphaned workers after coordinator" \
-           "SIGTERM: $ORPHANS" >&2
-      exit 1
-    fi
-    if [ "$STATUS" -eq 0 ]; then
-      # SIGTERM landed in the shutdown window after the interrupt check:
-      # the run completed cleanly, nothing was orphaned. Benign race.
-      echo "shard_smoke: coordinator completed before acting on SIGTERM;" \
-           "continuing"
-    else
-      if ! grep -q "resume" "$WORK/coord_term.err"; then
-        echo "shard_smoke: FAIL — coordinator error lacks a --resume hint:" >&2
-        cat "$WORK/coord_term.err" >&2
-        exit 1
-      fi
-      echo "shard_smoke: coordinator failed as expected (status $STATUS)," \
-           "all workers reaped; resuming immediately"
-    fi
-  else
-    echo "shard_smoke: coordinator finished before the SIGTERM; continuing"
-  fi
-  # Immediate resume: must not trip over stale slice locks.
-  "$BIN" "${COMMON[@]}" --shards "$SHARDS" --checkpoint "$WORK/ck_term" \
-    --resume --out "$WORK/sharded_term.json" >/dev/null
-  cmp "$WORK/ref.json" "$WORK/sharded_term.json"
-  echo "shard_smoke: post-SIGTERM resumed output byte-identical to reference"
-else
-  echo "shard_smoke: coordinator with $SHARDS workers"
-  "$BIN" "${COMMON[@]}" --shards "$SHARDS" --checkpoint "$WORK/ck" \
-    --out "$WORK/sharded.json" >/dev/null
+echo "shard_smoke: $SHARDS concurrent --shard i/$SHARDS workers"
+PIDS=()
+for i in $(seq 1 "$SHARDS"); do
+  # A simple command in the background: $! is the worker process itself.
+  worker_cmd "$i"
+  "${WORKER[@]}" >/dev/null 2>"$WORK/worker$i.err" &
+  PIDS+=($!)
+done
+
+# The last worker always holds chunks (ShardPlan gives a grid's last chunk
+# to the last shard). Kill it once its first progress line shows a
+# committed chunk, so its resume has something to restore.
+VICTIM=
+if [ "$KILL" = "--kill" ]; then
+  VICTIM=$SHARDS
+  for _ in $(seq 1 1200); do
+    if grep -q " sims$" "$WORK/worker$VICTIM.err"; then break; fi
+    sleep 0.05
+  done
+  kill -KILL "${PIDS[$((VICTIM - 1))]}"
 fi
 
-cmp "$WORK/ref.json" "$WORK/sharded.json"
-echo "shard_smoke: sharded output byte-identical to single process"
+for i in $(seq 1 "$SHARDS"); do
+  set +e
+  wait "${PIDS[$((i - 1))]}"
+  STATUS=$?
+  set -e
+  if [ "$i" = "$VICTIM" ]; then
+    if [ "$STATUS" -eq 0 ]; then
+      echo "shard_smoke: FAIL — worker $i exited 0 after SIGKILL" >&2
+      exit 1
+    fi
+    echo "shard_smoke: killed worker $i exited $STATUS as expected"
+  elif [ "$STATUS" -ne 0 ]; then
+    echo "shard_smoke: FAIL — worker $i exited $STATUS:" >&2
+    cat "$WORK/worker$i.err" >&2
+    exit 1
+  fi
+done
+
+if [ -n "$VICTIM" ]; then
+  echo "shard_smoke: resuming worker $VICTIM from its checkpointed chunks"
+  worker_cmd "$VICTIM"
+  "${WORKER[@]}" --resume >/dev/null 2>"$WORK/resume.err"
+  if ! grep -q "resuming:" "$WORK/resume.err"; then
+    echo "shard_smoke: FAIL — the resumed worker restored no chunk:" >&2
+    cat "$WORK/resume.err" >&2
+    exit 1
+  fi
+fi
 
 "$BIN" merge --reps "$REPS" --seed "$SEED" --format json \
   --shards "$SHARDS" --checkpoint "$WORK/ck" \
   --out "$WORK/merged.json" >/dev/null
 cmp "$WORK/ref.json" "$WORK/merged.json"
-echo "shard_smoke: merge subcommand output byte-identical to single process"
+echo "shard_smoke: merge of the fleet byte-identical to single process"
 
 if command -v python3 >/dev/null 2>&1; then
   python3 "$TOOLS_DIR/bench_diff.py" "$WORK/ref.json" "$WORK/merged.json"
