@@ -2,7 +2,47 @@
 
 #include <stdexcept>
 
+#include "can/dbc_text.hpp"
+
 namespace scaa::can {
+
+namespace {
+
+/// The simulated car's DBC: the one source of its CAN layouts, in the
+/// format the paper's attacker reads (Fig. 4). Every message carries a
+/// Honda checksum + rolling counter, which the DBC grammar cannot say;
+/// simulated_car() tags them after parsing.
+constexpr const char* kSimulatedCarDbc = R"dbc(VERSION ""
+
+BS_:
+
+BU_: EON CAR
+
+BO_ 228 STEERING_CONTROL: 5 EON
+ SG_ STEER_ANGLE_CMD : 7|16@0- (0.01,0) [-327.68|327.67] "deg" CAR
+ SG_ STEER_ENABLED : 23|1@0+ (1,0) [0|1] "" CAR
+
+BO_ 506 GAS_BRAKE_COMMAND: 6 EON
+ SG_ ACCEL_CMD : 7|16@0- (0.001,0) [-32.768|32.767] "m/s^2" CAR
+ SG_ BRAKE_REQUEST : 23|1@0+ (1,0) [0|1] "" CAR
+
+BO_ 344 SPEED: 4 EON
+ SG_ SPEED : 7|16@0+ (0.01,0) [0|655.35] "m/s" CAR
+
+BO_ 342 STEER_ANGLE_SENSOR: 4 EON
+ SG_ STEER_ANGLE : 7|16@0- (0.01,0) [-327.68|327.67] "deg" CAR
+
+BO_ 780 ACC_HUD: 3 EON
+ SG_ FCW : 7|1@0+ (1,0) [0|1] "" CAR
+
+CM_ BO_ 228 "Lateral command: road-wheel angle request, +left, and enable flag";
+CM_ BO_ 506 "Longitudinal command: acceleration request";
+CM_ BO_ 344 "Wheel-speed derived vehicle speed (sensor to ADAS)";
+CM_ BO_ 342 "Steering angle sensor";
+CM_ BO_ 780 "HUD message carrying the FCW flag (ADAS to dash)";
+)dbc";
+
+}  // namespace
 
 Database::Database(std::vector<DbcMessage> messages)
     : msgs_(std::move(messages)) {
@@ -41,81 +81,8 @@ SignalHandle Database::signal_handle(const std::string& message_name,
 }
 
 Database Database::simulated_car() {
-  std::vector<DbcMessage> msgs;
-
-  // Steering command: signed centi-degree angle request + enable flag.
-  {
-    DbcMessage m;
-    m.name = "STEERING_CONTROL";
-    m.id = msg_id::kSteeringControl;
-    m.size = 5;
-    m.checksum = ChecksumKind::kHonda;
-    m.signals = {
-        DbcSignal{sig::kSteerAngleCmd, 7, 16, ByteOrder::kBigEndian, true,
-                  0.01, 0.0},
-        DbcSignal{sig::kSteerEnabled, 23, 1, ByteOrder::kBigEndian, false,
-                  1.0, 0.0},
-    };
-    msgs.push_back(std::move(m));
-  }
-
-  // Longitudinal command: signed milli-m/s^2 acceleration request.
-  {
-    DbcMessage m;
-    m.name = "GAS_BRAKE_COMMAND";
-    m.id = msg_id::kGasBrakeCommand;
-    m.size = 6;
-    m.checksum = ChecksumKind::kHonda;
-    m.signals = {
-        DbcSignal{sig::kAccelCmd, 7, 16, ByteOrder::kBigEndian, true, 0.001,
-                  0.0},
-        DbcSignal{sig::kBrakeRequest, 23, 1, ByteOrder::kBigEndian, false,
-                  1.0, 0.0},
-    };
-    msgs.push_back(std::move(m));
-  }
-
-  // Wheel-speed derived vehicle speed (sensor->ADAS direction).
-  {
-    DbcMessage m;
-    m.name = "SPEED";
-    m.id = msg_id::kSpeed;
-    m.size = 4;
-    m.checksum = ChecksumKind::kHonda;
-    m.signals = {
-        DbcSignal{sig::kSpeed, 7, 16, ByteOrder::kBigEndian, false, 0.01,
-                  0.0},
-    };
-    msgs.push_back(std::move(m));
-  }
-
-  // Steering angle sensor.
-  {
-    DbcMessage m;
-    m.name = "STEER_ANGLE_SENSOR";
-    m.id = msg_id::kSteerAngleSensor;
-    m.size = 4;
-    m.checksum = ChecksumKind::kHonda;
-    m.signals = {
-        DbcSignal{sig::kSteerAngle, 7, 16, ByteOrder::kBigEndian, true, 0.01,
-                  0.0},
-    };
-    msgs.push_back(std::move(m));
-  }
-
-  // HUD message carrying the FCW flag (ADAS->dash direction).
-  {
-    DbcMessage m;
-    m.name = "ACC_HUD";
-    m.id = msg_id::kAccHud;
-    m.size = 3;
-    m.checksum = ChecksumKind::kHonda;
-    m.signals = {
-        DbcSignal{sig::kFcw, 7, 1, ByteOrder::kBigEndian, false, 1.0, 0.0},
-    };
-    msgs.push_back(std::move(m));
-  }
-
+  std::vector<DbcMessage> msgs = parse_dbc(kSimulatedCarDbc);
+  for (DbcMessage& m : msgs) m.checksum = ChecksumKind::kHonda;
   return Database(std::move(msgs));
 }
 

@@ -3,12 +3,15 @@
 /// @file database.hpp
 /// The opendbc-like database for the simulated car.
 ///
-/// Message ids and layouts follow the Honda convention the paper shows
-/// (steering control at 0xE4, Fig. 4). Physical units on the wire:
+/// The car's layouts have one source: the DBC text committed in
+/// database.cpp, which simulated_car() parses (can/dbc_text.hpp). Message
+/// ids and layouts follow the Honda convention the paper shows (steering
+/// control at 0xE4, Fig. 4). Physical units on the wire:
 ///   STEERING_CONTROL.STEER_ANGLE_CMD   centi-degrees (signed, +left)
 ///   GAS_BRAKE_COMMAND.ACCEL_CMD        milli-m/s^2 (signed)
 ///   SPEED.SPEED                        centi-m/s
-/// Every command message carries a Honda checksum + rolling counter.
+/// Every message carries a Honda checksum + rolling counter. The constants
+/// below name what the text declares; a test pins them to it.
 
 #include <optional>
 #include <vector>
@@ -76,7 +79,8 @@ class Database {
   SignalHandle signal_handle(const std::string& message_name,
                              const std::string& signal_name) const;
 
-  /// Build the database for the simulated car.
+  /// Build the database for the simulated car: parse its DBC text and tag
+  /// every message with the Honda checksum, which DBC cannot express.
   static Database simulated_car();
 
  private:

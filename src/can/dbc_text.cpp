@@ -22,8 +22,7 @@ std::string trimmed(const std::string& s) {
 
 }  // namespace
 
-std::vector<DbcMessage> parse_dbc(const std::string& text,
-                                  bool tag_honda_checksums) {
+std::vector<DbcMessage> parse_dbc(const std::string& text) {
   std::vector<DbcMessage> messages;
   std::istringstream stream(text);
   std::string raw;
@@ -47,7 +46,6 @@ std::vector<DbcMessage> parse_dbc(const std::string& text,
       m.name = trimmed(name);
       if (size == 0 || size > 8) fail(line_no, "message size must be 1..8");
       m.size = static_cast<std::uint8_t>(size);
-      if (tag_honda_checksums) m.checksum = ChecksumKind::kHonda;
       messages.push_back(std::move(m));
       continue;
     }
@@ -63,6 +61,7 @@ std::vector<DbcMessage> parse_dbc(const std::string& text,
                       "SG_ %127s : %d|%d@%d%c (%lf,%lf)", name, &start,
                       &len, &endian, &sign, &factor, &offset) != 7)
         fail(line_no, "malformed SG_ line");
+      if (start < 0 || start > 63) fail(line_no, "start bit must be 0..63");
       if (len < 1 || len > 64) fail(line_no, "signal length must be 1..64");
       if (endian != 0 && endian != 1) fail(line_no, "endianness must be 0/1");
       if (sign != '+' && sign != '-') fail(line_no, "sign must be + or -");
@@ -84,28 +83,6 @@ std::vector<DbcMessage> parse_dbc(const std::string& text,
     // ignored, as real tooling does for unknown sections.
   }
   return messages;
-}
-
-std::string write_dbc(const std::vector<DbcMessage>& messages) {
-  std::ostringstream out;
-  out << "VERSION \"\"\n\nBS_:\n\nBU_: EON CAR\n\n";
-  for (const auto& m : messages) {
-    out << "BO_ " << m.id << ' ' << m.name << ": "
-        << static_cast<unsigned>(m.size) << " EON\n";
-    for (const auto& s : m.signals) {
-      out << " SG_ " << s.name << " : " << s.start_bit << '|' << s.size
-          << '@' << (s.order == ByteOrder::kLittleEndian ? 1 : 0)
-          << (s.is_signed ? '-' : '+') << " (" << s.factor << ','
-          << s.offset << ") [" << s.min_physical() << '|'
-          << s.max_physical() << "] \"\" CAR\n";
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
-std::string simulated_car_dbc() {
-  return write_dbc(Database::simulated_car().messages());
 }
 
 }  // namespace scaa::can

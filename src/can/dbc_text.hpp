@@ -1,9 +1,11 @@
 #pragma once
 
 /// @file dbc_text.hpp
-/// Parser and writer for the (subset of the) Vector DBC text format that
-/// opendbc uses — the artefact the paper's attacker reverse-engineers to
-/// find where a command lives inside a frame.
+/// Parser for the (subset of the) Vector DBC text format that opendbc
+/// uses — the artefact the paper's attacker reverse-engineers to find
+/// where a command lives inside a frame. The simulated car's database is
+/// built from such text (Database::simulated_car()), so the parser reads
+/// production input.
 ///
 /// Supported grammar (one message block):
 ///   BO_ <id> <NAME>: <size> <sender>
@@ -16,23 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "can/database.hpp"
+#include "can/dbc.hpp"
 
 namespace scaa::can {
 
 /// Parse DBC text into message layouts. Throws std::invalid_argument with
 /// a line number on malformed input. Checksum kinds are not part of the
-/// DBC grammar; messages whose last signal region matches the Honda
-/// checksum convention can be tagged afterwards via @p tag_honda_checksums
-/// (applies to every parsed message).
-std::vector<DbcMessage> parse_dbc(const std::string& text,
-                                  bool tag_honda_checksums = false);
-
-/// Render message layouts as DBC text (round-trips through parse_dbc).
-std::string write_dbc(const std::vector<DbcMessage>& messages);
-
-/// The simulated car's database as DBC text (matches
-/// Database::simulated_car()).
-std::string simulated_car_dbc();
+/// DBC grammar: every parsed message has ChecksumKind::kNone.
+std::vector<DbcMessage> parse_dbc(const std::string& text);
 
 }  // namespace scaa::can

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -72,62 +73,46 @@ OwnShard own_shard(const CampaignOptions& options) {
           static_cast<std::size_t>(options.shard_count)};
 }
 
-/// The checkpoint file of @p slice under options.checkpoint; under
-/// --shard i/N, this worker's shard-suffixed file of it.
-std::string checkpoint_path(const CampaignOptions& options,
-                            const std::string& slice,
-                            const std::vector<exp::CampaignItem>& grid) {
-  const OwnShard shard = own_shard(options);
-  return slice_checkpoint_file(options.checkpoint, slice,
-                               exp::grid_fingerprint(grid), shard.index,
-                               shard.count);
-}
+/// Open the checkpoint of every slice (anything with a `name` and a
+/// `grid`) before the first simulation — under --shard i/N, this worker's
+/// shard-suffixed file of each; Checkpoint selects the mode
+/// (exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
+/// for table5's per-item pairing). All null when checkpointing is off.
+/// Slice-file collisions are rejected before any file is opened; a slice
+/// file that cannot be opened fails the call and, in a fresh run, removes
+/// the files it had already created, so the same command can simply be
+/// run again. Notes restored progress so a resumed run says where it picks
+/// up from.
+template <class Checkpoint, class Slice>
+std::vector<std::unique_ptr<Checkpoint>> open_slice_checkpoints(
+    const std::vector<Slice>& slices, const CampaignOptions& options,
+    std::ostream* progress) {
+  std::vector<std::unique_ptr<Checkpoint>> checkpoints(slices.size());
+  if (options.checkpoint.empty()) return checkpoints;
+  std::vector<std::pair<std::string, std::uint64_t>> names;
+  for (const Slice& slice : slices)
+    names.emplace_back(slice.name, exp::grid_fingerprint(slice.grid));
+  reject_slice_file_collisions(options.checkpoint, names);
 
-/// Open the checkpoint for one slice (Checkpoint selects the mode:
-/// exp::CampaignCheckpoint for streaming aggregates, exp::ResultsCheckpoint
-/// for table5's per-item pairing); null when checkpointing is off. Notes
-/// restored progress so a resumed run says where it picks up from.
-template <class Checkpoint>
-std::unique_ptr<Checkpoint> open_checkpoint(
-    const CampaignOptions& options, const std::string& slice,
-    const std::vector<exp::CampaignItem>& grid, std::ostream* progress) {
-  if (options.checkpoint.empty()) return nullptr;
-  auto ckpt = std::make_unique<Checkpoint>(
-      checkpoint_path(options, slice, grid), grid, options.resume);
   const OwnShard shard = own_shard(options);
-  const std::size_t owned =
-      exp::ShardPlan(grid.size(), shard.count).items_in(shard.index);
-  if (ckpt->completed_items() > 0)
-    note(progress, "[" + slice + "] resuming: " +
-                       std::to_string(ckpt->completed_items()) + "/" +
-                       std::to_string(owned) +
-                       " sims restored from checkpoint");
-  return ckpt;
-}
-
-/// Run every slice (anything with a `name` and a `grid`) through one
-/// exp::run_campaigns_streaming call — one pool for all of them — with a
-/// decile progress display per slice, and return one Aggregate per slice
-/// in slice order; under --shard i/N only this worker's chunks of each
-/// slice run, and each Aggregate covers them alone. Every slice's
-/// checkpoint opens before the first simulation, so a slice file that
-/// cannot be opened fails the run before any work is done — and, in a
-/// fresh run, removes the files this call had already created, so the
-/// same command can simply be run again.
-template <class Slice>
-std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
-                                       const CampaignOptions& options,
-                                       std::ostream* progress) {
-  const OwnShard shard = own_shard(options);
-  std::vector<std::unique_ptr<exp::CampaignCheckpoint>> checkpoints;
   std::vector<std::string> created;
   try {
-    for (const Slice& slice : slices) {
-      checkpoints.push_back(open_checkpoint<exp::CampaignCheckpoint>(
-          options, slice.name, slice.grid, progress));
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      const std::string path =
+          slice_checkpoint_file(options.checkpoint, names[i].first,
+                                names[i].second, shard.index, shard.count);
+      checkpoints[i] = std::make_unique<Checkpoint>(path, slices[i].grid,
+                                                    options.resume);
       // A fresh open refuses an existing file, so it created this one.
-      if (checkpoints.back() && !options.resume)
-        created.push_back(checkpoint_path(options, slice.name, slice.grid));
+      if (!options.resume) created.push_back(path);
+      const std::size_t owned =
+          exp::ShardPlan(slices[i].grid.size(), shard.count)
+              .items_in(shard.index);
+      if (checkpoints[i]->completed_items() > 0)
+        note(progress, "[" + slices[i].name + "] resuming: " +
+                           std::to_string(checkpoints[i]->completed_items()) +
+                           "/" + std::to_string(owned) +
+                           " sims restored from checkpoint");
     }
   } catch (...) {
     checkpoints.clear();  // close first: drops the files' flocks
@@ -136,6 +121,22 @@ std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
         note(progress, "could not remove " + path + " (created by this run)");
     throw;
   }
+  return checkpoints;
+}
+
+/// Run every slice (anything with a `name` and a `grid`) through one
+/// exp::run_campaigns_streaming call — one pool for all of them — with a
+/// decile progress display per slice, and return one Aggregate per slice
+/// in slice order; under --shard i/N only this worker's chunks of each
+/// slice run, and each Aggregate covers them alone. Every slice's
+/// checkpoint opens before the first simulation (open_slice_checkpoints).
+template <class Slice>
+std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
+                                       const CampaignOptions& options,
+                                       std::ostream* progress) {
+  const OwnShard shard = own_shard(options);
+  const auto checkpoints = open_slice_checkpoints<exp::CampaignCheckpoint>(
+      slices, options, progress);
   std::vector<exp::ChunkRange> ranges;
   std::vector<exp::CampaignLeg> legs;
   ranges.reserve(slices.size());  // legs point into it
@@ -158,13 +159,11 @@ struct Table4Slice {
   std::uint64_t fingerprint = 0;
 };
 
-/// Build every Table IV slice for @p tag and — when checkpointing — reject
-/// slice-file collisions upfront, before any file is opened.
+/// Build every Table IV slice for @p tag.
 std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
                                              const exp::CampaignConfig& cc,
                                              const std::string& tag) {
   std::vector<Table4Slice> slices;
-  std::vector<std::pair<std::string, std::uint64_t>> names;
   for (const Table4Strategy& row : table4_strategies()) {
     Table4Slice slice;
     slice.row = row;
@@ -173,11 +172,8 @@ std::vector<Table4Slice> build_table4_slices(const CampaignOptions& options,
         exp::make_grid(row.kind, row.strategic, /*driver_enabled=*/true, cc,
                        options.reps * row.rep_multiplier);
     slice.fingerprint = exp::grid_fingerprint(slice.grid);
-    names.emplace_back(slice.name, slice.fingerprint);
     slices.push_back(std::move(slice));
   }
-  if (!options.checkpoint.empty())
-    reject_slice_file_collisions(options.checkpoint, names);
   return slices;
 }
 
@@ -323,7 +319,9 @@ Report table4_shard_worker_report(const CampaignOptions& options,
     report.add_row({to_string(slice.row.kind), tag,
                     ll(plan.items_in(shard.index)),
                     ll(plan.chunks_for(shard.index).chunk_count()),
-                    checkpoint_path(options, slice.name, slice.grid)});
+                    slice_checkpoint_file(options.checkpoint, slice.name,
+                                          slice.fingerprint, shard.index,
+                                          shard.count)});
   }
   note(progress, "[table4 shard " + tag + "] slice complete: " +
                      std::to_string(slice_total) + " sims checkpointed");
@@ -380,34 +378,28 @@ Report table5_report(const CampaignOptions& options, std::ostream* progress) {
 
   // Table V pairs driver-on with driver-off per item, so each slice runs
   // through the materializing path with a per-item results checkpoint.
-  auto run = [&](bool strategic, bool driver, const std::string& slice) {
-    const auto grid = exp::make_grid(kind, strategic, driver, cc);
-    const auto checkpoint = open_checkpoint<exp::ResultsCheckpoint>(
-        options, slice, grid, progress);
-    return exp::run_campaign(grid, cc, checkpoint.get());
+  struct Leg {
+    std::string name;
+    std::vector<exp::CampaignItem> grid;
+  };
+  auto leg = [&](bool strategic, bool driver) {
+    const std::string values = strategic ? "strategic" : "fixed";
+    return Leg{"table5 " + values + (driver ? "-on" : "-off"),
+               exp::make_grid(kind, strategic, driver, cc)};
+  };
+  const std::vector<Leg> legs = {leg(false, true), leg(false, false),
+                                 leg(true, true), leg(true, false)};
+  const auto checkpoints = open_slice_checkpoints<exp::ResultsCheckpoint>(
+      legs, options, progress);
+  auto run = [&](std::size_t i, const std::string& what) {
+    note(progress, "[table5] " + what + "...");
+    return exp::run_campaign(legs[i].grid, cc, checkpoints[i].get());
   };
 
-  if (!options.checkpoint.empty()) {
-    std::vector<std::pair<std::string, std::uint64_t>> names;
-    for (const bool strategic : {false, true})
-      for (const bool driver : {true, false}) {
-        const std::string slice = std::string("table5 ") +
-                                  (strategic ? "strategic" : "fixed") +
-                                  (driver ? "-on" : "-off");
-        names.emplace_back(slice, exp::grid_fingerprint(exp::make_grid(
-                                      kind, strategic, driver, cc)));
-      }
-    reject_slice_file_collisions(options.checkpoint, names);
-  }
-
-  note(progress, "[table5] fixed values, driver on...");
-  const auto fixed_on = run(false, true, "table5 fixed-on");
-  note(progress, "[table5] fixed values, driver off...");
-  const auto fixed_off = run(false, false, "table5 fixed-off");
-  note(progress, "[table5] strategic values, driver on...");
-  const auto strat_on = run(true, true, "table5 strategic-on");
-  note(progress, "[table5] strategic values, driver off...");
-  const auto strat_off = run(true, false, "table5 strategic-off");
+  const auto fixed_on = run(0, "fixed values, driver on");
+  const auto fixed_off = run(1, "fixed values, driver off");
+  const auto strat_on = run(2, "strategic values, driver on");
+  const auto strat_off = run(3, "strategic values, driver off");
 
   const auto fixed = exp::pair_driver_outcomes(fixed_on, fixed_off);
   const auto strategic = exp::pair_driver_outcomes(strat_on, strat_off);
@@ -612,7 +604,6 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
     std::vector<exp::CampaignItem> grid;
   };
   std::vector<Leg> legs;
-  std::vector<std::pair<std::string, std::uint64_t>> names;
   for (const FaultCell& cell : cells) {
     const std::string tag = "faults " + cell.family + "-" + cell.intensity;
     legs.push_back({tag + " benign",
@@ -623,13 +614,9 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
                     exp::make_grid(attack::StrategyKind::kContextAware,
                                    /*strategic_values=*/true,
                                    /*driver_enabled=*/true, cc)});
-    for (Leg* leg : {&legs[legs.size() - 2], &legs.back()}) {
+    for (Leg* leg : {&legs[legs.size() - 2], &legs.back()})
       for (exp::CampaignItem& item : leg->grid) item.fault_plan = cell.plan;
-      names.emplace_back(leg->name, exp::grid_fingerprint(leg->grid));
-    }
   }
-  if (!options.checkpoint.empty())
-    reject_slice_file_collisions(options.checkpoint, names);
 
   // A leg is a small grid (72 items per repetition: two chunks at reps 1),
   // too small to keep a pool busy on its own, so all legs share one pool.
@@ -763,10 +750,17 @@ Report run_report(const CampaignOptions& options, std::ostream* progress) {
               std::to_string(options.miss_budget) + ")",
           std::move(report));
   }
-  if (tap)
-    note(progress, "[run] tap: " + std::to_string(tap->frames_streamed()) +
-                       " frames streamed" +
-                       (tap->broken() ? " (reader hung up early)" : ""));
+  if (tap) {
+    std::string line = "[run] tap: " +
+                       std::to_string(tap->frames_streamed()) +
+                       " frames streamed";
+    if (tap->broken()) {
+      line += " (reader hung up early: ";
+      line += std::strerror(tap->write_errno());
+      line += ')';
+    }
+    note(progress, line);
+  }
   if (cfg.fault_plan) {
     const sim::SimulationSummary s = world.summarize();
     std::uint64_t fired = 0;

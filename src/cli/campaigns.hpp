@@ -150,9 +150,9 @@ std::string slice_checkpoint_file(const std::string& stem,
 /// Throws std::runtime_error naming both slices if any two (name,
 /// fingerprint) pairs map to the same checkpoint file under @p stem —
 /// i.e. identical slugs AND identical short fingerprints for different
-/// grids. Every checkpointing subcommand calls this on its full slice set
-/// before opening anything, so a collision is a clear upfront diagnostic
-/// instead of two campaigns silently interleaving one file.
+/// grids. Every checkpointing subcommand's full slice set goes through
+/// this before any file opens, so a collision is a clear upfront
+/// diagnostic instead of two campaigns silently interleaving one file.
 void reject_slice_file_collisions(
     const std::string& stem,
     const std::vector<std::pair<std::string, std::uint64_t>>& slices);

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <cmath>
 #include <csignal>
-#include <cstring>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -13,7 +12,6 @@
 #include <unistd.h>
 
 #include "util/deadline_clock.hpp"
-#include "util/logging.hpp"
 
 namespace scaa::exp {
 
@@ -135,13 +133,11 @@ FifoTap::~FifoTap() {
 }
 
 void FifoTap::write_frame(const msg::WireFrame& frame) {
-  if (broken_) return;
+  if (broken()) return;
   scratch_.clear();
   append_tap_frame(scratch_, frame);
   if (!util::write_all(fd_.get(), scratch_.data(), scratch_.size())) {
-    broken_ = true;
-    SCAA_LOG_WARN() << "FifoTap: write failed (" << std::strerror(errno)
-                    << "); stream stopped after " << frames_ << " frames";
+    write_errno_ = errno;
     return;
   }
   ++frames_;

@@ -111,8 +111,8 @@ void append_tap_frame(std::vector<std::uint8_t>& out,
 /// FIFO, file, or bound socket path is used as-is) and opens it for
 /// writing — which, for a FIFO, blocks until a reader opens the other end:
 /// start the consumer first. SIGPIPE is ignored process-wide so a reader
-/// hanging up cannot kill the simulation; the tap logs the error once and
-/// stops streaming instead (broken() reports it).
+/// hanging up cannot kill the simulation; the tap keeps the failing errno
+/// and stops streaming instead (broken() and write_errno() report it).
 class FifoTap {
  public:
   FifoTap(msg::PubSubBus& bus, const std::string& path);
@@ -125,17 +125,21 @@ class FifoTap {
   std::uint64_t frames_streamed() const noexcept { return frames_; }
 
   /// True once a write failed; no further frames are streamed.
-  bool broken() const noexcept { return broken_; }
+  bool broken() const noexcept { return write_errno_ != 0; }
+
+  /// The errno of the write that broke the stream (EPIPE when the reader
+  /// hung up); 0 while the stream is intact.
+  int write_errno() const noexcept { return write_errno_; }
 
   /// Re-arm for a new run on the same FIFO: the frame counter restarts and
-  /// the broken-pipe latch clears, so the warn-once log fires again if the
-  /// (possibly new) reader hangs up too. Call alongside World::reset() —
-  /// without this, the second run on a reset World would silently stay
-  /// muted after one EPIPE. The fd and subscriptions stay attached (the
-  /// tap is wiring, like every other bus attachment).
+  /// the broken-pipe latch clears, so frames flow again to a (possibly new)
+  /// reader. Call alongside World::reset() — without this, the second run
+  /// on a reset World would silently stay muted after one EPIPE. The fd
+  /// and subscriptions stay attached (the tap is wiring, like every other
+  /// bus attachment).
   void reset() noexcept {
     frames_ = 0;
-    broken_ = false;
+    write_errno_ = 0;
   }
 
  private:
@@ -146,7 +150,7 @@ class FifoTap {
   util::UniqueFd fd_;
   std::vector<std::uint8_t> scratch_;
   std::uint64_t frames_ = 0;
-  bool broken_ = false;
+  int write_errno_ = 0;
 };
 
 }  // namespace scaa::exp

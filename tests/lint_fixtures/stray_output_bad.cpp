@@ -1,8 +1,8 @@
 // scaa-lint-fixture: as=src/msg/log_dump.cpp expect=stray-output
 //
 // Library code writing to stdout/stderr directly: stdout is machine-parsed
-// report output (CLI + report writer only) and stderr belongs to
-// util/logging's serialized sink. Every site below must be flagged.
+// report output and stderr carries progress and errors, and both belong to
+// the CLI layer alone. Every site below must be flagged.
 //
 // NOT COMPILED: lint fixture only; tools/scaa_lint.py --self-test reads it.
 #include <cstdio>

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli/campaigns.hpp"
 #include "exp/campaign.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/tables.hpp"
@@ -485,6 +487,39 @@ TEST(CheckpointResume, Table4ScaleInterruptedResumeMatchesUninterrupted) {
     std::remove(partial_path.c_str());
   }
   std::remove(full_path.c_str());
+}
+
+TEST(CheckpointResume, Table5SliceCollisionFailsBeforeAnySimulation) {
+  // table5 opens all four slice files before its first simulation: a stale
+  // file for the LAST slice fails the run up front, and the files it had
+  // already created are removed again, so nothing blocks a rerun.
+  const std::string dir = temp_path("table5-collision");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string stem = dir + "/c";
+
+  const auto last_grid =
+      exp::make_grid(attack::StrategyKind::kContextAware,
+                     /*strategic_values=*/true, /*driver_enabled=*/false,
+                     grid_config(1, 9));
+  const std::string last = cli::slice_checkpoint_file(
+      stem, "table5 strategic-off", exp::grid_fingerprint(last_grid));
+  write_file(last, "stale\n");
+
+  std::ostringstream out, err;
+  EXPECT_EQ(cli::run_campaign_command(
+                "table5",
+                {"--reps", "1", "--seed", "9", "--checkpoint", stem}, out,
+                err),
+            1);
+  EXPECT_NE(err.str().find("already exists"), std::string::npos) << err.str();
+  EXPECT_EQ(err.str().find("[table5]"), std::string::npos) << err.str();
+
+  std::vector<std::string> left;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    left.push_back(entry.path().string());
+  EXPECT_EQ(left, std::vector<std::string>{last});
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include <map>
 
 #include "can/database.hpp"
-#include "can/dbc_text.hpp"
 #include "can/packer.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/rng.hpp"
@@ -185,24 +184,6 @@ TEST(Codec, PrecompiledPackParseDoesNotAllocate) {
       util::g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "precompiled pack/parse hit the heap";
   EXPECT_GT(sum, 0.0);
-}
-
-TEST(Codec, WorksOnDatabasesParsedFromDbcText) {
-  // The precompiled path is not special-cased to the built-in database:
-  // handles resolved against a text-parsed DBC must round-trip too.
-  const can::Database db(
-      can::parse_dbc(can::simulated_car_dbc(), /*tag_honda=*/true));
-  can::CanPacker packer(db);
-  can::CanParser parser(db);
-  const auto steering = db.handle("STEERING_CONTROL");
-  const auto angle =
-      db.signal_handle("STEERING_CONTROL", can::sig::kSteerAngleCmd);
-  std::array<double, 2> values{};
-  values[angle.signal] = -1.23;
-  const auto* parsed = parser.parse_flat(packer.pack(steering, values));
-  ASSERT_NE(parsed, nullptr);
-  EXPECT_TRUE(parsed->checksum_ok);
-  EXPECT_NEAR(parsed->values[angle.signal], -1.23, 0.01);
 }
 
 }  // namespace

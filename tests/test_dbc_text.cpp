@@ -1,9 +1,14 @@
-// Tests for the DBC text parser/writer.
+// Tests for the DBC text parser and the simulated car database built from
+// its DBC text.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <string>
+#include <utility>
+
+#include "can/database.hpp"
 #include "can/dbc_text.hpp"
-#include "can/packer.hpp"
 
 namespace {
 
@@ -53,13 +58,6 @@ TEST(DbcText, LittleEndianAndOffset) {
   EXPECT_DOUBLE_EQ(s.offset, 10.0);
 }
 
-TEST(DbcText, HondaChecksumTagging) {
-  const auto messages = can::parse_dbc(kSample, /*tag_honda=*/true);
-  EXPECT_EQ(messages[0].checksum, can::ChecksumKind::kHonda);
-  const auto untagged = can::parse_dbc(kSample, false);
-  EXPECT_EQ(untagged[0].checksum, can::ChecksumKind::kNone);
-}
-
 TEST(DbcText, RejectsMalformedInput) {
   EXPECT_THROW(can::parse_dbc("BO_ nonsense\n"), std::invalid_argument);
   EXPECT_THROW(can::parse_dbc("SG_ ORPHAN : 0|8@1+ (1,0) [0|255] \"\" X\n"),
@@ -71,6 +69,18 @@ TEST(DbcText, RejectsMalformedInput) {
   EXPECT_THROW(
       can::parse_dbc("BO_ 1 M: 8 X\n SG_ S : 0|8@1+ (0,0) [0|1] \"\" Y\n"),
       std::invalid_argument);
+  // A start bit outside the 8-byte payload would make the codec shift by
+  // a negative amount.
+  EXPECT_THROW(
+      can::parse_dbc("BO_ 1 M: 8 X\n SG_ S : 64|1@1+ (1,0) [0|1] \"\" Y\n"),
+      std::invalid_argument);
+  try {
+    can::parse_dbc("BO_ 1 M: 8 X\n SG_ S : -3|8@1+ (1,0) [0|1] \"\" Y\n");
+    ADD_FAILURE() << "start bit -3 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DbcText, IgnoresUnknownSections) {
@@ -81,45 +91,42 @@ TEST(DbcText, IgnoresUnknownSections) {
   EXPECT_EQ(messages.size(), 1u);
 }
 
-TEST(DbcText, WriterRoundTrips) {
-  const auto original = can::Database::simulated_car().messages();
-  const std::string text = can::write_dbc(original);
-  const auto reparsed = can::parse_dbc(text, /*tag_honda=*/true);
-  ASSERT_EQ(reparsed.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(reparsed[i].name, original[i].name);
-    EXPECT_EQ(reparsed[i].id, original[i].id);
-    EXPECT_EQ(reparsed[i].size, original[i].size);
-    ASSERT_EQ(reparsed[i].signals.size(), original[i].signals.size());
-    for (std::size_t j = 0; j < original[i].signals.size(); ++j) {
-      const auto& a = original[i].signals[j];
-      const auto& b = reparsed[i].signals[j];
-      EXPECT_EQ(b.name, a.name);
-      EXPECT_EQ(b.start_bit, a.start_bit);
-      EXPECT_EQ(b.size, a.size);
-      EXPECT_EQ(b.order, a.order);
-      EXPECT_EQ(b.is_signed, a.is_signed);
-      EXPECT_DOUBLE_EQ(b.factor, a.factor);
-      EXPECT_DOUBLE_EQ(b.offset, a.offset);
-    }
+TEST(DbcText, SimulatedCarConstantsMatchItsText) {
+  // The wire constants every codec call site uses name what the committed
+  // DBC text declares; the checksum kind is the one thing the text cannot
+  // say, so simulated_car() sets it on every message.
+  const auto db = can::Database::simulated_car();
+  const std::pair<const char*, std::uint32_t> ids[] = {
+      {"STEERING_CONTROL", can::msg_id::kSteeringControl},
+      {"GAS_BRAKE_COMMAND", can::msg_id::kGasBrakeCommand},
+      {"SPEED", can::msg_id::kSpeed},
+      {"STEER_ANGLE_SENSOR", can::msg_id::kSteerAngleSensor},
+      {"ACC_HUD", can::msg_id::kAccHud},
+  };
+  ASSERT_EQ(db.messages().size(), std::size(ids));
+  for (const auto& [name, id] : ids) {
+    const can::DbcMessage* m = db.by_name(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->id, id) << name;
   }
-}
-
-TEST(DbcText, ParsedDatabaseDecodesRealFrames) {
-  // Frames packed with the built-in database decode identically through a
-  // database built from the DBC text — the attacker's offline workflow.
-  const auto built_in = can::Database::simulated_car();
-  const can::Database from_text(
-      can::parse_dbc(can::simulated_car_dbc(), /*tag_honda=*/true));
-  can::CanPacker packer(built_in);
-  can::CanParser parser(from_text);
-  const auto frame = packer.pack("STEERING_CONTROL",
-                                 {{can::sig::kSteerAngleCmd, -1.23},
-                                  {can::sig::kSteerEnabled, 1.0}});
-  const auto parsed = parser.parse(frame);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(parsed->checksum_ok);
-  EXPECT_NEAR(parsed->values.at(can::sig::kSteerAngleCmd), -1.23, 0.01);
+  const std::pair<const char*, const char*> signals[] = {
+      {"STEERING_CONTROL", can::sig::kSteerAngleCmd},
+      {"STEERING_CONTROL", can::sig::kSteerEnabled},
+      {"GAS_BRAKE_COMMAND", can::sig::kAccelCmd},
+      {"GAS_BRAKE_COMMAND", can::sig::kBrakeRequest},
+      {"SPEED", can::sig::kSpeed},
+      {"STEER_ANGLE_SENSOR", can::sig::kSteerAngle},
+      {"ACC_HUD", can::sig::kFcw},
+  };
+  std::size_t signal_count = 0;
+  for (const auto& m : db.messages()) {
+    EXPECT_EQ(m.checksum, can::ChecksumKind::kHonda) << m.name;
+    signal_count += m.signals.size();
+  }
+  EXPECT_EQ(signal_count, std::size(signals));
+  for (const auto& [message, signal] : signals)
+    EXPECT_NO_THROW(db.signal_handle(message, signal))
+        << message << "." << signal;
 }
 
 }  // namespace

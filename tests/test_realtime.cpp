@@ -16,6 +16,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -288,10 +289,11 @@ TEST(Realtime, FifoTapResetRearmsBrokenLatch) {
   EXPECT_FALSE(tap.broken());
 
   // Reader hangs up: the very next write hits EPIPE (SIGPIPE is ignored),
-  // the warn-once latch trips, and further publishes are muted.
+  // the latch keeps that errno, and further publishes are muted.
   ASSERT_EQ(::close(reader), 0);
   bus.publish(cs);
   EXPECT_TRUE(tap.broken());
+  EXPECT_EQ(tap.write_errno(), EPIPE);
   EXPECT_EQ(tap.frames_streamed(), 1u);
   bus.publish(cs);
   EXPECT_EQ(tap.frames_streamed(), 1u);
@@ -303,6 +305,7 @@ TEST(Realtime, FifoTapResetRearmsBrokenLatch) {
   ASSERT_GE(reader, 0);
   tap.reset();
   EXPECT_FALSE(tap.broken());
+  EXPECT_EQ(tap.write_errno(), 0);
   EXPECT_EQ(tap.frames_streamed(), 0u);
   bus.publish(cs);
   bus.publish(cs);

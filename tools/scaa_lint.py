@@ -28,9 +28,11 @@ generic tool knows about:
 
   stray-output        No std::cout / std::cerr / printf-family output in
                       library code. stdout is machine-parsed report/bench
-                      output (CLI + report writer only) and stderr belongs
-                      to util/logging's serialized sink; anything else
-                      corrupts reports or interleaves across threads.
+                      output and stderr carries progress and errors; both
+                      belong to the CLI (src/cli/) alone. Library code
+                      reports failures by return value or exception, so
+                      nothing corrupts reports or interleaves across
+                      threads.
 
   naked-accumulation  No ad-hoc floating-point accumulation loops in the
                       aggregation paths. Campaign statistics fold through
@@ -104,9 +106,6 @@ FOLD_PATHS = (
 # The accumulator implementations themselves: the one place Welford updates
 # and raw moment arithmetic are supposed to live.
 ACCUMULATOR_IMPLS = ("src/util/stats.", "src/util/serial.")
-
-# The serialized logging sink: the one legal std::cerr writer.
-LOG_SINK = "src/util/logging."
 
 # The fault-injection layer: all of its entropy comes from the one Rng
 # World forks for it (stream id 17); it must never seed a stream itself.
@@ -253,13 +252,11 @@ def check_stray_output(path, stripped, findings):
         return
     for lineno, line in enumerate(stripped.splitlines(), start=1):
         for pattern, what in STRAY_PATTERNS:
-            if what == "std::cerr" and path.startswith(LOG_SINK):
-                continue  # util/logging owns the serialized stderr sink
             if pattern.search(line):
                 findings.append((
                     path, lineno, "stray-output",
-                    f"{what} in library code: stdout belongs to the report "
-                    f"writer and CLI, stderr to util/logging's sink",
+                    f"{what} in library code: stdout and stderr belong to "
+                    f"the CLI",
                 ))
 
 
