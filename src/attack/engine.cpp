@@ -44,21 +44,19 @@ void AttackEngine::reset(const AttackConfig& config, double half_width,
                                     : CorruptionLimits::fixed(),
                                 config.cruise_speed);
   attacker_.reset();
-  last_context_ = SafetyContext{};
   cycles_active_ = 0;
   active_now_ = false;
 }
 
 void AttackEngine::step(double time, double dt) {
-  last_context_ = inference_.infer(time);
-  const ContextMatch match = table_.match(last_context_);
-  const ActivationDecision decision =
-      strategy_->decide(last_context_, match, time);
+  const SafetyContext context = inference_.infer(time);
+  const ContextMatch match = table_.match(context);
+  const ActivationDecision decision = strategy_->decide(context, match, time);
   active_now_ = decision.active;
   if (decision.active) ++cycles_active_;
 
   const AttackValues values = corruption_.compute(
-      decision, config_.type, last_context_.speed, dt);
+      decision, config_.type, context.speed, dt);
   attacker_.set_values(values);
 }
 

@@ -59,9 +59,6 @@ class AttackEngine {
 
   /// Statistics for the metrics layer.
   AttackStats stats() const noexcept;
-
-  /// Introspection for tests.
-  const SafetyContext& last_context() const noexcept { return last_context_; }
   const ContextTable& table() const noexcept { return table_; }
 
  private:
@@ -71,7 +68,6 @@ class AttackEngine {
   StrategyBox strategy_;  ///< placement-constructed: reset() never allocates
   ValueCorruption corruption_;
   CanAttacker attacker_;
-  SafetyContext last_context_;
   std::uint64_t cycles_active_ = 0;
   bool active_now_ = false;
 };

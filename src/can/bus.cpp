@@ -43,10 +43,8 @@ bool CanBus::send(CanFrame frame) {
   ++sent_;
   if (fault_active_ && fault_hook_) {
     const FaultVerdict verdict = fault_hook_(frame);
-    if (verdict.action == FaultVerdict::Action::kDrop) {
-      ++fault_dropped_;
+    if (verdict.action == FaultVerdict::Action::kDrop)
       return false;  // physical loss: interceptors and taps never see it
-    }
     if (verdict.action == FaultVerdict::Action::kDelay) {
       if (delayed_.size() < kDelayQueueCapacity) {
         delayed_.push_back({frame, current_tick_ + verdict.delay_ticks});

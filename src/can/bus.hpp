@@ -99,7 +99,6 @@ class CanBus {
   void reset_counters() noexcept {
     sent_ = 0;
     dropped_ = 0;
-    fault_dropped_ = 0;
     delay_overflows_ = 0;
     current_tick_ = 0;
     delayed_.clear();  // capacity kept: reset stays allocation-free
@@ -111,17 +110,9 @@ class CanBus {
   /// Frames dropped by interceptors.
   std::uint64_t frames_dropped() const noexcept { return dropped_; }
 
-  /// Frames discarded by the fault hook (drop / bus-off verdicts).
-  std::uint64_t frames_fault_dropped() const noexcept {
-    return fault_dropped_;
-  }
-
   /// Delay verdicts that degraded to immediate delivery because the queue
   /// was full (surfaced as suppressed kCanDelay faults in the summary).
   std::uint64_t delay_overflows() const noexcept { return delay_overflows_; }
-
-  /// Frames currently held in the delay queue.
-  std::size_t delayed_pending() const noexcept { return delayed_.size(); }
 
  private:
   /// Interceptors -> taps -> receivers (send() minus fault handling).
@@ -144,7 +135,6 @@ class CanBus {
   std::uint64_t next_id_ = 1;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
-  std::uint64_t fault_dropped_ = 0;
   std::uint64_t delay_overflows_ = 0;
   std::uint64_t current_tick_ = 0;
   bool fault_active_ = false;

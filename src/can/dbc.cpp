@@ -184,11 +184,4 @@ void DbcSignal::encode(std::array<std::uint8_t, 8>& data,
   insert_raw(data, static_cast<std::int64_t>(std::llround(scaled)));
 }
 
-const DbcSignal* DbcMessage::find_signal(
-    const std::string& signal_name) const noexcept {
-  for (const auto& sig : signals)
-    if (sig.name == signal_name) return &sig;
-  return nullptr;
-}
-
 }  // namespace scaa::can

@@ -64,9 +64,6 @@ struct DbcMessage {
   std::uint8_t size = 8;  ///< DLC
   ChecksumKind checksum = ChecksumKind::kNone;
   std::vector<DbcSignal> signals;
-
-  /// Find a signal by name; nullptr when absent.
-  const DbcSignal* find_signal(const std::string& signal_name) const noexcept;
 };
 
 }  // namespace scaa::can

@@ -66,6 +66,14 @@ std::vector<DbcMessage> parse_dbc(const std::string& text) {
       if (endian != 0 && endian != 1) fail(line_no, "endianness must be 0/1");
       if (sign != '+' && sign != '-') fail(line_no, "sign must be + or -");
       if (factor == 0.0) fail(line_no, "factor must be nonzero");
+      // The signal's last bit must lie inside the message's DLC bytes.
+      // Intel counts bits up from start_bit; Motorola runs down the
+      // sawtooth, i.e. up from start_bit's distance to the frame's MSB
+      // (the arithmetic of the codec's word shift).
+      const int first = endian == 1 ? start : (start / 8) * 8 + 7 - start % 8;
+      if (first + len > 8 * messages.back().size)
+        fail(line_no, "signal runs past the message's " +
+                          std::to_string(messages.back().size) + " bytes");
       DbcSignal sig;
       sig.name = name;
       sig.start_bit = start;

@@ -61,7 +61,6 @@ CanParser::CanParser(const Database& db)
 
 void CanParser::reset() noexcept {
   std::fill(last_counter_.begin(), last_counter_.end(), std::int16_t{-1});
-  checksum_errors_ = 0;
   counter_errors_ = 0;
 }
 
@@ -77,7 +76,6 @@ const CanParser::ParsedFrame* CanParser::parse_flat(const CanFrame& frame) {
 
   if (layout.checksum == ChecksumKind::kHonda) {
     flat_.checksum_ok = verify_honda_checksum(frame);
-    if (!flat_.checksum_ok) ++checksum_errors_;
 
     const std::uint8_t counter = read_counter(frame);
     std::int16_t& last = last_counter_[msg.index];

@@ -99,13 +99,10 @@ class CanParser {
   /// Parse a frame into named values. Unknown ids return std::nullopt.
   std::optional<Parsed> parse(const CanFrame& frame);
 
-  /// Number of frames rejected due to bad checksums so far.
-  std::uint64_t checksum_errors() const noexcept { return checksum_errors_; }
-
   /// Number of counter discontinuities seen so far.
   std::uint64_t counter_errors() const noexcept { return counter_errors_; }
 
-  /// Forget all per-message counter history and zero the error counters,
+  /// Forget all per-message counter history and zero the error counter,
   /// as if freshly constructed against the same database. No allocation.
   void reset() noexcept;
 
@@ -114,7 +111,6 @@ class CanParser {
   std::vector<std::int16_t> last_counter_;  ///< per message index; -1 = none
   std::vector<double> values_;              ///< parse_flat scratch
   ParsedFrame flat_;
-  std::uint64_t checksum_errors_ = 0;
   std::uint64_t counter_errors_ = 0;
 };
 

@@ -64,20 +64,6 @@ class ContextAwareMonitor {
   /// Feed one cycle; returns true while an unsafe-action alarm is active.
   bool update(const MonitorInputs& in, double dt) noexcept;
 
-  /// Back to the freshly constructed state (same config): persistence
-  /// windows, clock, alarm memory, and degraded-mode state all clear.
-  void reset() noexcept {
-    for (double& since : unsafe_since_) since = -1.0;
-    clock_ = 0.0;
-    alarm_time_ = -1.0;
-    alarm_action_ = attack::UnsafeAction::kAcceleration;
-    degraded_ = false;
-    stale_since_ = -1.0;
-    fresh_since_ = -1.0;
-    degraded_entries_ = 0;
-    degraded_time_ = 0.0;
-  }
-
   /// True once alarmed at least once.
   bool alarmed() const noexcept { return alarm_time_ >= 0.0; }
 

@@ -57,25 +57,14 @@ class ControlInvariantDetector {
   /// Feed one cycle; returns true while the alarm is raised.
   bool update(const InvariantInputs& in, double dt) noexcept;
 
-  /// Back to the freshly constructed state (same config): scores, clock,
-  /// and alarm memory all clear.
-  void reset() noexcept {
-    expected_accel_ = 0.0;
-    physics_cusum_ = 0.0;
-    intent_cusum_ = 0.0;
-    clock_ = 0.0;
-    alarm_time_ = -1.0;
-  }
-
   /// True once the alarm has fired at least once.
   bool alarmed() const noexcept { return alarm_time_ >= 0.0; }
 
   /// Time (sum of dt) at the first alarm; negative when never.
   double alarm_time() const noexcept { return alarm_time_; }
 
-  /// Current CUSUM scores (for tests/telemetry).
+  /// Current physics CUSUM score (for tests/telemetry).
   double physics_score() const noexcept { return physics_cusum_; }
-  double intent_score() const noexcept { return intent_cusum_; }
 
  private:
   InvariantConfig config_;

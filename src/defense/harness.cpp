@@ -32,16 +32,6 @@ DefenseHarness::DefenseHarness(sim::World& world,
   });
 }
 
-void DefenseHarness::reset() noexcept {
-  invariant_.reset();
-  monitor_.reset();
-  inference_.reset(0.9);
-  car_control_.reset();
-  tap_parser_.reset();
-  wire_accel_ = 0.0;
-  wire_steer_ = 0.0;
-}
-
 DefenseOutcome DefenseHarness::run(sim::SimulationSummary* summary_out) {
   const double dt = 0.01;
   while (world_->step()) {

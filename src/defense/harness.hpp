@@ -45,13 +45,6 @@ class DefenseHarness {
   /// Returns the defense outcome alongside the usual summary.
   DefenseOutcome run(sim::SimulationSummary* summary_out = nullptr);
 
-  /// Re-arm the harness after the borrowed world is reset: detector state,
-  /// eavesdropped latches, and decoded-wire memory clear, while the bus
-  /// subscriptions and the CAN tap stay attached (the retrofit ECU keeps
-  /// its wiring across simulations, just like the attacker keeps its).
-  /// Allocation-free.
-  void reset() noexcept;
-
   const ControlInvariantDetector& invariant() const noexcept {
     return invariant_;
   }

@@ -101,9 +101,6 @@ struct ChunkRange {
   std::size_t end_chunk = 0;
 
   std::size_t chunk_count() const noexcept { return end_chunk - begin_chunk; }
-  bool contains(std::size_t chunk) const noexcept {
-    return chunk >= begin_chunk && chunk < end_chunk;
-  }
 };
 
 /// Per-item simulation hook for run_campaign: the item's index into the

@@ -54,15 +54,14 @@ RealtimeReport RealtimeExecutor::run(sim::World& world,
     // The exact World::step() phase sequence, with a timestamp at each
     // boundary. No clock value flows into any phase — the simulation's
     // inputs are identical to a free-running run.
-    sim::World::PendingProjections pend;
     const double t0 = util::monotonic_now_s();
-    world.begin_tick(pend);
+    world.begin_tick();
     const double t1 = util::monotonic_now_s();
-    world.project_pending(pend);
+    world.project_traffic();
     const double t2 = util::monotonic_now_s();
-    world.mid_tick(pend);
+    world.mid_tick();
     const double t3 = util::monotonic_now_s();
-    world.project_pending(pend);
+    world.project_ego();
     const double t4 = util::monotonic_now_s();
     running = world.end_tick();
     const double t5 = util::monotonic_now_s();

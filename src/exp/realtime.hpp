@@ -11,7 +11,7 @@
 /// per-subsystem latency, wake jitter, and overrun histograms.
 ///
 /// Determinism: the executor drives the exact phase sequence World::step()
-/// runs (begin_tick -> projection sweep -> mid_tick -> projection sweep ->
+/// runs (begin_tick -> project_traffic -> mid_tick -> project_ego ->
 /// end_tick) and feeds no clock value into any of them. The wall clock
 /// only decides *when* the next tick fires, never what it computes, so a
 /// realtime run's SimulationSummary is bit-identical to a free-running
@@ -66,10 +66,12 @@ struct RealtimeReport {
   double period_s = 0.01;
 
   /// phases[0] is the whole tick; the rest decompose it along the
-  /// World::step phase boundaries: "sense_publish" (sensor models + bus
-  /// publish), "project_sweep" (both batched Polyline::project_many
-  /// resolutions), "adas_plan" (ADAS planners, controls, actuation),
-  /// "monitor" (hazard/safety monitoring).
+  /// World::step phase boundaries: "sense_publish" (begin_tick: road
+  /// queries and the traffic vehicles' dynamics), "project_sweep"
+  /// (project_traffic plus project_ego: every moved vehicle's Frenet
+  /// refresh), "adas_plan" (mid_tick: sensors, bus publish, attack, ADAS
+  /// planners and controls, driver, Ego dynamics), "monitor" (end_tick:
+  /// hazard/safety monitoring).
   std::vector<PhaseStats> phases;
 
   /// Fraction of ticks that overran; 0 when no tick ran.
@@ -130,17 +132,6 @@ class FifoTap {
   /// The errno of the write that broke the stream (EPIPE when the reader
   /// hung up); 0 while the stream is intact.
   int write_errno() const noexcept { return write_errno_; }
-
-  /// Re-arm for a new run on the same FIFO: the frame counter restarts and
-  /// the broken-pipe latch clears, so frames flow again to a (possibly new)
-  /// reader. Call alongside World::reset() — without this, the second run
-  /// on a reset World would silently stay muted after one EPIPE. The fd
-  /// and subscriptions stay attached (the tap is wiring, like every other
-  /// bus attachment).
-  void reset() noexcept {
-    frames_ = 0;
-    write_errno_ = 0;
-  }
 
  private:
   void write_frame(const msg::WireFrame& frame);

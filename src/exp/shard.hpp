@@ -49,7 +49,6 @@ class ShardPlan {
   /// Throws std::invalid_argument when @p n_shards is 0.
   ShardPlan(std::size_t n_items, std::size_t n_shards);
 
-  std::size_t item_count() const noexcept { return n_items_; }
   std::size_t chunk_count() const noexcept { return n_chunks_; }
   std::size_t shard_count() const noexcept { return n_shards_; }
 

@@ -90,12 +90,6 @@ bool parse_fault_kind(std::string_view text, FaultKind& out) noexcept {
   return false;
 }
 
-const char* fault_target_name(FaultTarget target) noexcept {
-  for (const auto& entry : kTargetNames)
-    if (entry.target == target) return entry.name;
-  return "unknown";
-}
-
 bool parse_fault_target(std::string_view text, FaultTarget& out) noexcept {
   for (const auto& entry : kTargetNames) {
     if (text == entry.name) {

@@ -49,7 +49,6 @@ bool parse_fault_kind(std::string_view text, FaultKind& out) noexcept;
 /// kinds).
 enum class FaultTarget : std::uint8_t { kAll = 0, kGps, kCamera, kRadar };
 
-const char* fault_target_name(FaultTarget target) noexcept;
 bool parse_fault_target(std::string_view text, FaultTarget& out) noexcept;
 
 /// One fault. Fields not used by a kind are ignored (and default-zero so

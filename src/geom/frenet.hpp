@@ -26,26 +26,18 @@ class FrenetFrame {
   /// Reference line is borrowed; it must outlive the frame.
   explicit FrenetFrame(const Polyline& reference) : ref_(&reference) {}
 
-  /// Convert a world position to Frenet coordinates.
+  /// Convert a world position to Frenet coordinates: project it onto the
+  /// reference line, seeded with the previous conversion's arc length, and
+  /// keep the result as the hint for the next one.
   FrenetPoint to_frenet(Vec2 world) noexcept;
 
-  /// Record an externally computed projection of this frame's tracked point
-  /// — e.g. one lane of a batched Polyline::project_many sweep — as if
-  /// to_frenet had produced it: updates the hint and returns the Frenet
-  /// point. accept(reference().project(p, hint())) == to_frenet(p).
-  FrenetPoint accept(const Polyline::Projection& proj) noexcept {
-    hint_s_ = proj.s;
-    hint_segment_ = proj.segment;
-    return {proj.s, proj.lateral};
-  }
-
-  /// Search hint for the next projection: arc length of the last accepted
-  /// projection, or negative before any (full search).
+  /// Search hint for the next projection: arc length of the last
+  /// conversion, or negative before any (full search).
   double hint() const noexcept { return hint_s_; }
 
-  /// Segment index of the last accepted projection, or
-  /// Polyline::kNoSegmentHint before any. Seeds the hinted heading /
-  /// curvature queries so per-tick road sampling skips the segment search.
+  /// Segment index of the last conversion, or Polyline::kNoSegmentHint
+  /// before any. Seeds the hinted heading / curvature queries so per-tick
+  /// road sampling skips the segment search.
   std::size_t hint_segment() const noexcept { return hint_segment_; }
 
   /// The reference line this frame projects onto.
@@ -53,11 +45,6 @@ class FrenetFrame {
 
   /// Convert Frenet coordinates to a world position.
   Vec2 to_world(FrenetPoint f) const noexcept;
-
-  /// Heading of the reference line at arc length @p s.
-  double reference_heading(double s) const noexcept {
-    return ref_->heading_at(s);
-  }
 
   /// Approximate signed curvature of the reference line at @p s
   /// (finite difference of heading; positive = left curve).

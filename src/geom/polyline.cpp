@@ -1,7 +1,6 @@
 #include "geom/polyline.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -244,18 +243,6 @@ Polyline::Projection Polyline::project(Vec2 p, double hint_s) const noexcept {
     }
   }
   return finalize(p, best_segment(p, 0, nseg));
-}
-
-void Polyline::project_many(std::span<const Vec2> points,
-                            std::span<const double> hints,
-                            std::span<Projection> out) const noexcept {
-  // A size mismatch is a caller bug: truncating silently would leave
-  // default-constructed projections (s=0 at the road origin) that read as
-  // valid Frenet data downstream.
-  assert(points.size() == out.size());
-  const std::size_t n = std::min(points.size(), out.size());
-  for (std::size_t k = 0; k < n; ++k)
-    out[k] = project(points[k], k < hints.size() ? hints[k] : -1.0);
 }
 
 Polyline::Projection Polyline::project_reference(Vec2 p) const noexcept {

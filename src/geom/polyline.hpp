@@ -4,7 +4,6 @@
 /// Arc-length-parameterized polylines, the backbone of the road centerline.
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 #include "geom/vec2.hpp"
@@ -74,16 +73,6 @@ class Polyline {
   /// exact; even a teleported point recovers unless the geometry folds back
   /// on itself closer than the point's offset (pass hint_s < 0 there).
   Projection project(Vec2 p, double hint_s = -1.0) const noexcept;
-
-  /// Project a batch of points in one structure-of-arrays sweep. For every
-  /// k, out[k] is exactly project(points[k], hints[k]) (hints[k] = -1 when
-  /// @p hints is empty) — the batched form exists so a caller with many
-  /// concurrently moving points (all vehicles in a simulation tick) issues
-  /// one call over the shared SoA segment arrays instead of N independent
-  /// searches. Sizes of @p points and @p out must match.
-  void project_many(std::span<const Vec2> points,
-                    std::span<const double> hints,
-                    std::span<Projection> out) const noexcept;
 
   /// Brute-force all-segments reference projection in the pre-SoA scalar
   /// arithmetic (one division per segment, sqrt per improvement). This is

@@ -20,12 +20,4 @@ Vec2 heading_vector(double theta) noexcept {
   return {std::cos(theta), std::sin(theta)};
 }
 
-Vec2 Pose::local_to_world(Vec2 local) const noexcept {
-  return position + local.rotated(heading);
-}
-
-Vec2 Pose::world_to_local(Vec2 world) const noexcept {
-  return (world - position).rotated(-heading);
-}
-
 }  // namespace scaa::geom

@@ -56,13 +56,6 @@ Vec2 heading_vector(double theta) noexcept;
 struct Pose {
   Vec2 position;
   double heading = 0.0;  ///< radians, CCW from +x
-
-  /// Transform a point from this pose's local frame to the world frame.
-  Vec2 local_to_world(Vec2 local) const noexcept;
-
-  /// Transform a world point into this pose's local frame
-  /// (x forward, y left).
-  Vec2 world_to_local(Vec2 world) const noexcept;
 };
 
 }  // namespace scaa::geom

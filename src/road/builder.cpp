@@ -5,26 +5,10 @@
 
 namespace scaa::road {
 
-RoadBuilder& RoadBuilder::start(geom::Vec2 position, double heading) {
-  if (points_.size() > 1)
-    throw std::logic_error("RoadBuilder: start() after segments were added");
-  cursor_ = position;
-  heading_ = heading;
-  points_ = {position};
-  return *this;
-}
-
-RoadBuilder& RoadBuilder::sample_spacing(double spacing) {
-  if (spacing <= 0.0)
-    throw std::invalid_argument("RoadBuilder: spacing must be positive");
-  spacing_ = spacing;
-  return *this;
-}
-
 RoadBuilder& RoadBuilder::straight(double length) {
   if (length <= 0.0)
     throw std::invalid_argument("RoadBuilder: length must be positive");
-  const int n = std::max(1, static_cast<int>(std::ceil(length / spacing_)));
+  const int n = std::max(1, static_cast<int>(std::ceil(length / kSpacing)));
   const geom::Vec2 dir = geom::heading_vector(heading_);
   for (int i = 1; i <= n; ++i) {
     const double s = length * static_cast<double>(i) / n;
@@ -38,7 +22,7 @@ RoadBuilder& RoadBuilder::arc(double length, double curvature) {
   if (length <= 0.0)
     throw std::invalid_argument("RoadBuilder: length must be positive");
   if (curvature == 0.0) return straight(length);
-  const int n = std::max(2, static_cast<int>(std::ceil(length / spacing_)));
+  const int n = std::max(2, static_cast<int>(std::ceil(length / kSpacing)));
   const double radius = 1.0 / curvature;  // signed
   // Center of curvature sits on the left normal for a left curve.
   const geom::Vec2 normal = geom::heading_vector(heading_).perp();
@@ -58,13 +42,13 @@ Road RoadBuilder::build(RoadProfile profile) const {
   return Road(geom::Polyline(points_), profile);
 }
 
-Road RoadBuilder::paper_road(double curvature) {
+Road RoadBuilder::paper_road() {
+  constexpr double curvature = 1.0 / 1200.0;
   RoadBuilder builder;
   // 200 m straight lead-in, a 200 m spiral-like transition (stepped arcs),
   // then a long left bend: the Ego covers at most ~1.35 km in 50 s at
   // 60 mph; build over 2 km so nothing runs off the end.
-  builder.start({0.0, 0.0}, 0.0)
-      .straight(200.0)
+  builder.straight(200.0)
       .arc(50.0, 0.2 * curvature)
       .arc(50.0, 0.4 * curvature)
       .arc(50.0, 0.6 * curvature)

@@ -10,13 +10,11 @@
 namespace scaa::road {
 
 /// Fluent builder that tessellates straight and circular-arc segments into
-/// the reference polyline. Arcs are sampled at ~0.5 m spacing, fine enough
-/// that polyline curvature error is negligible at vehicle scale.
+/// the reference polyline, starting at the origin heading east. Segments
+/// are sampled at ~0.5 m spacing, fine enough that polyline curvature error
+/// is negligible at vehicle scale.
 class RoadBuilder {
  public:
-  /// Start position and heading of the road (defaults to origin, east).
-  RoadBuilder& start(geom::Vec2 position, double heading);
-
   /// Append a straight segment of @p length metres.
   RoadBuilder& straight(double length);
 
@@ -25,21 +23,19 @@ class RoadBuilder {
   /// straight segment.
   RoadBuilder& arc(double length, double curvature);
 
-  /// Tessellation spacing [m]; default 0.5.
-  RoadBuilder& sample_spacing(double spacing);
-
   /// Build the road with the given lane profile.
   Road build(RoadProfile profile) const;
 
   /// Convenience: the paper's evaluation road — a gentle left-hand curve
-  /// long enough for a 50 s run at 60 mph (~1.4 km), two lanes, guardrails.
-  /// @p curvature defaults to a ~1.2 km radius left bend.
-  static Road paper_road(double curvature = 1.0 / 1200.0);
+  /// (~1.2 km radius) long enough for a 50 s run at 60 mph (~1.4 km), two
+  /// lanes, guardrails.
+  static Road paper_road();
 
  private:
+  static constexpr double kSpacing = 0.5;  ///< tessellation spacing [m]
+
   geom::Vec2 cursor_{0.0, 0.0};
   double heading_ = 0.0;
-  double spacing_ = 0.5;
   std::vector<geom::Vec2> points_{{0.0, 0.0}};
 };
 

@@ -52,14 +52,6 @@ double Road::curvature_at(double s, std::size_t segment_hint) const noexcept {
   return frame.curvature_at(s, 2.0, segment_hint);
 }
 
-double Road::distance_to_left_edge(double d, std::size_t lane) const noexcept {
-  return profile_.lane_left_edge(lane) - d;
-}
-
-double Road::distance_to_right_edge(double d, std::size_t lane) const noexcept {
-  return d - profile_.lane_right_edge(lane);
-}
-
 int Road::lane_at(double d) const noexcept {
   for (std::size_t lane = 0; lane < profile_.lane_count; ++lane) {
     if (d >= profile_.lane_right_edge(lane) &&
@@ -78,11 +70,6 @@ bool Road::invades_lane_line(double d, std::size_t lane,
 bool Road::hits_guardrail(double d, double half_width) const noexcept {
   return (d - half_width) <= profile_.right_guardrail() ||
          (d + half_width) >= profile_.left_guardrail();
-}
-
-geom::Vec2 Road::world_at(double s, double d) const {
-  geom::FrenetFrame frame(reference_);
-  return frame.to_world({s, d});
 }
 
 }  // namespace scaa::road

@@ -16,7 +16,6 @@
 ///   right guardrail: d = -w - margin ; left guardrail: d = +w + margin.
 
 #include <cstddef>
-#include <span>
 
 #include "geom/frenet.hpp"
 #include "geom/polyline.hpp"
@@ -67,14 +66,6 @@ class Road {
   /// hint, including geom::Polyline::kNoSegmentHint.
   double curvature_at(double s, std::size_t segment_hint) const noexcept;
 
-  /// Distance from lateral offset @p d to the LEFT edge of lane @p lane.
-  /// Positive while inside the lane (paper's d_left).
-  double distance_to_left_edge(double d, std::size_t lane) const noexcept;
-
-  /// Distance from lateral offset @p d to the RIGHT edge of lane @p lane.
-  /// Positive while inside the lane (paper's d_right).
-  double distance_to_right_edge(double d, std::size_t lane) const noexcept;
-
   /// Lane containing lateral offset @p d, or -1 when off the carriageway.
   int lane_at(double d) const noexcept;
 
@@ -85,19 +76,6 @@ class Road {
 
   /// True when offset @p d (plus half-width) reaches a guardrail face.
   bool hits_guardrail(double d, double half_width) const noexcept;
-
-  /// World position of a (s, d) point.
-  geom::Vec2 world_at(double s, double d) const;
-
-  /// Project a batch of world points onto the reference line in one
-  /// structure-of-arrays sweep (one call per simulation tick for all
-  /// vehicles). Element k equals reference().project(points[k], hints[k]);
-  /// see geom::Polyline::project_many for the hint contract.
-  void project_many(std::span<const geom::Vec2> points,
-                    std::span<const double> hints,
-                    std::span<geom::Polyline::Projection> out) const noexcept {
-    reference_.project_many(points, hints, out);
-  }
 
   /// Heading of the road at arc length s.
   double heading_at(double s) const noexcept {

@@ -1,37 +1,8 @@
 #include "sim/trace.hpp"
 
-#include <ostream>
-
-#include "util/csv.hpp"
+#include <utility>
 
 namespace scaa::sim {
-
-void Trace::write_csv(std::ostream& out) const {
-  util::CsvWriter csv(out);
-  csv.header({"time", "ego_s", "ego_d", "ego_speed", "ego_accel", "ego_steer",
-              "lane_center", "lane_left", "lane_right", "lead_gap",
-              "accel_cmd", "steer_cmd", "attack_active", "alert_active",
-              "driver_engaged"});
-  for (const auto& r : rows_) {
-    csv.row()
-        .cell(r.time)
-        .cell(r.ego_s)
-        .cell(r.ego_d)
-        .cell(r.ego_speed)
-        .cell(r.ego_accel)
-        .cell(r.ego_steer)
-        .cell(r.lane_center)
-        .cell(r.lane_left)
-        .cell(r.lane_right)
-        .cell(r.lead_gap)
-        .cell(r.accel_cmd)
-        .cell(r.steer_cmd)
-        .cell(r.attack_active)
-        .cell(r.alert_active)
-        .cell(r.driver_engaged);
-    csv.end_row();
-  }
-}
 
 void Trace::decimate(std::size_t n) {
   if (n <= 1 || rows_.empty()) return;

@@ -3,7 +3,7 @@
 /// @file trace.hpp
 /// Per-step trace recording for figures (Fig. 7) and debugging.
 
-#include <iosfwd>
+#include <cstddef>
 #include <vector>
 
 namespace scaa::sim {
@@ -27,20 +27,13 @@ struct TraceRow {
   bool driver_engaged = false;
 };
 
-/// Growable trace with CSV export.
+/// Growable trace of recorded steps.
 class Trace {
  public:
   void add(const TraceRow& row) { rows_.push_back(row); }
   const std::vector<TraceRow>& rows() const noexcept { return rows_; }
   std::size_t size() const noexcept { return rows_.size(); }
   void reserve(std::size_t n) { rows_.reserve(n); }
-
-  /// Drop all rows, keeping the capacity — a trace reused across World
-  /// resets records the next run without reallocating.
-  void clear() noexcept { rows_.clear(); }
-
-  /// Write all rows as CSV (with header) to @p out.
-  void write_csv(std::ostream& out) const;
 
   /// Keep only every @p n-th row (thins the trace for plotting).
   void decimate(std::size_t n);

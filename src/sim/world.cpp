@@ -286,16 +286,7 @@ const vehicle::VehicleState& World::ego_state() const noexcept {
   return ego_->state();
 }
 
-void World::project_pending(PendingProjections& pend) {
-  road_->project_many({pend.points.data(), pend.count},
-                      {pend.hints.data(), pend.count},
-                      {pend.projections.data(), pend.count});
-  for (std::size_t i = 0; i < pend.count; ++i)
-    pend.vehicles[i]->apply_projection(pend.projections[i]);
-  pend.count = 0;
-}
-
-void World::begin_tick(PendingProjections& pend) {
+void World::begin_tick() {
   // Road queries at the Ego's (pre-step) arc length, looked up once per
   // tick and shared by the camera model and the driver observation in
   // mid_tick (hinted by the Ego's cached Frenet segment, so each is an
@@ -310,16 +301,15 @@ void World::begin_tick(PendingProjections& pend) {
   const auto wheelbase = config_.ego_params.wheelbase;
 
   // Every command below reads only pre-step state (the trailing and
-  // neighbor laws follow the Ego, which steps later in the tick), so the
-  // traffic integrates first and the tick's Frenet refresh happens as one
-  // batched projection sweep.
+  // neighbor laws follow the Ego, which steps later in the tick), so all
+  // the traffic integrates first and project_traffic refreshes its Frenet
+  // state afterwards.
   {
     vehicle::ActuatorCommand cmd;
     cmd.accel = lead_accel(config_.scenario.lead, time_, lead_->state().speed);
     cmd.steer_angle = tracking_steer(road, lead_->state(), lane0_center_,
                                      wheelbase, lead_->frenet_segment());
     lead_->integrate(cmd, dt);
-    pend.add(lead_.get());
   }
   if (has_trailing_) {
     const double gap =
@@ -331,7 +321,6 @@ void World::begin_tick(PendingProjections& pend) {
     cmd.steer_angle = tracking_steer(road, trailing_->state(), lane0_center_,
                                      wheelbase, trailing_->frenet_segment());
     trailing_->integrate(cmd, dt);
-    pend.add(trailing_.get());
   }
   if (has_neighbor_) {
     // The neighbor moves with the flow around the Ego (platooning traffic),
@@ -347,8 +336,13 @@ void World::begin_tick(PendingProjections& pend) {
     cmd.steer_angle = tracking_steer(road, neighbor_->state(), lane1_center_,
                                      wheelbase, neighbor_->frenet_segment());
     neighbor_->integrate(cmd, dt);
-    pend.add(neighbor_.get());
   }
+}
+
+void World::project_traffic() {
+  lead_->refresh_frenet();
+  if (has_trailing_) trailing_->refresh_frenet();
+  if (has_neighbor_) neighbor_->refresh_frenet();
 }
 
 void World::publish_sensors(double road_curvature, double road_heading) {
@@ -385,7 +379,7 @@ void World::publish_sensors(double road_curvature, double road_heading) {
   msg_bus_.publish(cs);
 }
 
-void World::mid_tick(PendingProjections& pend) {
+void World::mid_tick() {
   // Benign-fault phase: stamp the tick time for activation windows and
   // deliver CAN frames whose injected delay expires this tick — before the
   // sensors publish and the ECU steps, so a frame delayed N ticks is seen
@@ -452,8 +446,9 @@ void World::mid_tick(PendingProjections& pend) {
   if (driver_cmd.has_value()) ego_cmd = *driver_cmd;
   ego_cmd.steer_angle += steer_disturbance_;
   ego_->integrate(ego_cmd, config_.dt);
-  pend.add(ego_.get());
 }
+
+void World::project_ego() { ego_->refresh_frenet(); }
 
 bool World::end_tick() {
   // Safety monitoring on the post-step state.
@@ -490,11 +485,10 @@ bool World::end_tick() {
 
 bool World::step() {
   if (finished_) return false;
-  PendingProjections pend;
-  begin_tick(pend);
-  project_pending(pend);
-  mid_tick(pend);
-  project_pending(pend);
+  begin_tick();
+  project_traffic();
+  mid_tick();
+  project_ego();
   return end_tick();
 }
 

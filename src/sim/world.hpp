@@ -9,7 +9,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <span>
 
 #include "adas/controls.hpp"
 #include "attack/engine.hpp"
@@ -118,9 +117,9 @@ struct SimulationSummary {
 
 /// The world. Lifecycle: construct, run() once, then reset() to re-arm the
 /// same instance for the next simulation — a reset World is bit-identical
-/// to a freshly constructed one, but performs zero heap allocations (the
-/// realtime executor and FIFO taps keep one World, and its bus wiring,
-/// across runs). Campaign runners construct a fresh World per item. A
+/// to a freshly constructed one, but performs zero heap allocations, and
+/// its bus wiring persists. Campaign runners construct a fresh World per
+/// item. A
 /// second run() without an intervening reset() throws. Past its first few
 /// ticks (which warm lazily sized buffers), no tick touches the heap.
 class World {
@@ -154,26 +153,6 @@ class World {
   /// True once the simulation reached its end (terminal accident or
   /// configured duration).
   bool finished() const noexcept { return finished_; }
-
-  /// One tick phase's projection workload: the vehicles whose integrate()
-  /// half-step is waiting for a Frenet refresh, with their gathered query
-  /// points and hints, resolved by one Road::project_many sweep against
-  /// this world's road.
-  struct PendingProjections {
-    static constexpr std::size_t kMaxVehicles = 4;
-    std::array<vehicle::Vehicle*, kMaxVehicles> vehicles{};
-    std::array<geom::Vec2, kMaxVehicles> points{};
-    std::array<double, kMaxVehicles> hints{};
-    std::array<geom::Polyline::Projection, kMaxVehicles> projections{};
-    std::size_t count = 0;
-
-    void add(vehicle::Vehicle* v) noexcept {
-      vehicles[count] = v;
-      points[count] = v->state().pose.position;
-      hints[count] = v->frenet_hint();
-      ++count;
-    }
-  };
 
   /// --- state access (valid between construction and end of run) ---
   double time() const noexcept { return time_; }
@@ -212,16 +191,16 @@ class World {
   void record(Trace* trace, const vehicle::ActuatorCommand& cmd);
 
   /// step() decomposed into phases so the realtime executor can timestamp
-  /// each boundary. Contract: begin_tick -> project_pending -> mid_tick ->
-  /// project_pending -> end_tick, with end_tick returning step()'s "still
-  /// running" result.
-  void begin_tick(PendingProjections& pend);
-  void mid_tick(PendingProjections& pend);
+  /// each boundary. Contract: begin_tick -> project_traffic -> mid_tick ->
+  /// project_ego -> end_tick, with end_tick returning step()'s "still
+  /// running" result. begin_tick integrates the traffic vehicles and
+  /// mid_tick the Ego; each project_* phase then refreshes the Frenet state
+  /// of the vehicles the preceding phase moved.
+  void begin_tick();
+  void project_traffic();
+  void mid_tick();
+  void project_ego();
   bool end_tick();
-
-  /// Resolve @p pend in one sweep against this world's road, write the
-  /// projections back to their vehicles and empty @p pend.
-  void project_pending(PendingProjections& pend);
 
   /// Shared tail of construction and reset(): re-derive every piece of
   /// simulation state from config_ alone, allocation-free. Fresh and reset

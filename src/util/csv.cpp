@@ -63,7 +63,6 @@ void CsvWriter::end_row() {
     throw std::logic_error("CsvWriter: row width does not match header");
   *out_ << '\n';
   in_row_ = false;
-  ++rows_;
 }
 
 std::string CsvWriter::escape(const std::string& value) {

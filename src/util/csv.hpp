@@ -41,9 +41,6 @@ class CsvWriter {
   /// Finish the current row (writes the newline).
   void end_row();
 
-  /// Number of data rows written so far.
-  std::size_t rows_written() const noexcept { return rows_; }
-
  private:
   void separator();
   static std::string escape(const std::string& value);
@@ -54,7 +51,6 @@ class CsvWriter {
   bool first_cell_ = true;
   std::size_t columns_ = 0;
   std::size_t cells_in_row_ = 0;
-  std::size_t rows_ = 0;
 };
 
 }  // namespace scaa::util

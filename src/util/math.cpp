@@ -2,19 +2,6 @@
 
 namespace scaa::math {
 
-double interp(double x, const double* xs, const double* ys, int n) noexcept {
-  if (n <= 0) return 0.0;
-  if (x <= xs[0]) return ys[0];
-  if (x >= xs[n - 1]) return ys[n - 1];
-  for (int i = 1; i < n; ++i) {
-    if (x <= xs[i]) {
-      const double t = (x - xs[i - 1]) / (xs[i] - xs[i - 1]);
-      return lerp(ys[i - 1], ys[i], t);
-    }
-  }
-  return ys[n - 1];
-}
-
 double wrap_angle(double rad) noexcept {
   constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
   while (rad > 3.14159265358979323846) rad -= kTwoPi;

@@ -13,15 +13,6 @@ constexpr double clamp(double v, double lo, double hi) noexcept {
   return v < lo ? lo : (v > hi ? hi : v);
 }
 
-/// Linear interpolation between @p a and @p b by fraction @p t in [0,1].
-constexpr double lerp(double a, double b, double t) noexcept {
-  return a + (b - a) * t;
-}
-
-/// Piecewise-linear interpolation of y(x) over sorted breakpoints.
-/// Outside the table the first/last value is held (OpenPilot's `interp`).
-double interp(double x, const double* xs, const double* ys, int n) noexcept;
-
 /// Sign of @p v as -1.0, 0.0 or +1.0.
 constexpr double sign(double v) noexcept {
   return (v > 0.0) ? 1.0 : (v < 0.0 ? -1.0 : 0.0);

@@ -48,29 +48,6 @@ std::string TextTable::render() const {
   return out.str();
 }
 
-std::string format_percent(double fraction, int decimals) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(decimals) << fraction * 100.0 << '%';
-  return out.str();
-}
-
-std::string format_count_percent(std::size_t count, std::size_t total,
-                                 int decimals) {
-  std::ostringstream out;
-  out << count << " (";
-  const double frac =
-      total ? static_cast<double>(count) / static_cast<double>(total) : 0.0;
-  out << std::fixed << std::setprecision(decimals) << frac * 100.0 << "%)";
-  return out.str();
-}
-
-std::string format_mean_std(double mean, double stddev, int decimals) {
-  std::ostringstream out;
-  out << std::fixed << std::setprecision(decimals) << mean << " +/- "
-      << stddev;
-  return out.str();
-}
-
 std::string format_double(double v, int decimals) {
   std::ostringstream out;
   out << std::fixed << std::setprecision(decimals) << v;

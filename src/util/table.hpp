@@ -31,11 +31,7 @@ class TextTable {
   std::vector<std::vector<std::string>> rows_;
 };
 
-/// Format helpers used when filling tables.
-std::string format_percent(double fraction, int decimals = 1);
-std::string format_count_percent(std::size_t count, std::size_t total,
-                                 int decimals = 1);
-std::string format_mean_std(double mean, double stddev, int decimals = 2);
+/// Fixed-point formatting used when filling tables.
 std::string format_double(double v, int decimals = 2);
 
 }  // namespace scaa::util

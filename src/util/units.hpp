@@ -26,17 +26,6 @@ constexpr double mph_to_ms(double mph) noexcept {
   return mph * kMetersPerMile / kSecondsPerHour;
 }
 
-/// Convert metres-per-second to miles-per-hour.
-constexpr double ms_to_mph(double ms) noexcept {
-  return ms * kSecondsPerHour / kMetersPerMile;
-}
-
-/// Convert kilometres-per-hour to metres-per-second.
-constexpr double kph_to_ms(double kph) noexcept { return kph / 3.6; }
-
-/// Convert metres-per-second to kilometres-per-hour.
-constexpr double ms_to_kph(double ms) noexcept { return ms * 3.6; }
-
 /// Convert degrees to radians.
 constexpr double deg_to_rad(double deg) noexcept { return deg * kPi / 180.0; }
 

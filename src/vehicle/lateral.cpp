@@ -21,8 +21,4 @@ double LateralDynamics::yaw_rate(double speed) const noexcept {
   return speed / params_.wheelbase * std::tan(steer_angle_);
 }
 
-double LateralDynamics::lateral_accel(double speed) const noexcept {
-  return speed * yaw_rate(speed);
-}
-
 }  // namespace scaa::vehicle

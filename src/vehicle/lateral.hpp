@@ -29,9 +29,6 @@ class LateralDynamics {
   /// Yaw rate [rad/s] at the given speed with the current actuated angle.
   double yaw_rate(double speed) const noexcept;
 
-  /// Lateral acceleration [m/s^2] at the given speed.
-  double lateral_accel(double speed) const noexcept;
-
   /// Reset the actuated angle.
   void reset(double steer_angle = 0.0) noexcept { steer_angle_ = steer_angle; }
 

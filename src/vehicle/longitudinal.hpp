@@ -29,9 +29,6 @@ class LongitudinalDynamics {
   /// Realized longitudinal acceleration over the last step [m/s^2].
   double accel() const noexcept { return realized_accel_; }
 
-  /// Actuated (post-lag) command [m/s^2]; what the powertrain is producing.
-  double actuated_accel() const noexcept { return actuated_accel_; }
-
   /// Reset state (initial speed, zero acceleration).
   void reset(double speed) noexcept;
 

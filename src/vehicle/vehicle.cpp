@@ -34,16 +34,6 @@ void Vehicle::reset(const road::Road& road, const VehicleParams& params,
   state_.d = d0;
 }
 
-void Vehicle::set_speed(double speed) noexcept {
-  longitudinal_.reset(speed);
-  state_.speed = longitudinal_.speed();
-}
-
-void Vehicle::step(const ActuatorCommand& cmd, double dt) {
-  integrate(cmd, dt);
-  refresh_frenet();
-}
-
 void Vehicle::integrate(const ActuatorCommand& cmd, double dt) {
   longitudinal_.step(cmd.accel, dt);
   lateral_.step(cmd.steer_angle, dt);
@@ -64,15 +54,8 @@ void Vehicle::integrate(const ActuatorCommand& cmd, double dt) {
   state_.yaw_rate = yaw_rate;
 }
 
-void Vehicle::refresh_frenet() {
+void Vehicle::refresh_frenet() noexcept {
   const auto f = frenet_.to_frenet(state_.pose.position);
-  state_.s = f.s;
-  state_.d = f.d;
-}
-
-void Vehicle::apply_projection(
-    const geom::Polyline::Projection& proj) noexcept {
-  const auto f = frenet_.accept(proj);
   state_.s = f.s;
   state_.d = f.d;
 }

@@ -44,28 +44,21 @@ class Vehicle {
   void reset(const road::Road& road, const VehicleParams& params, double s0,
              double d0, double speed);
 
-  /// Advance one simulation step of @p dt seconds under @p cmd
-  /// (integrate() followed by a self-contained Frenet refresh).
-  void step(const ActuatorCommand& cmd, double dt);
-
-  /// Advance dynamics and world pose only, WITHOUT refreshing the Frenet
-  /// state. The caller must complete the step with apply_projection() —
-  /// this split lets the World project every vehicle of a tick in one
-  /// batched road::Road::project_many sweep.
+  /// Advance dynamics and world pose by @p dt seconds under @p cmd. The
+  /// Frenet coordinates (state().s, state().d) still describe the previous
+  /// pose until refresh_frenet() — the World integrates every vehicle of a
+  /// tick phase first and projects them afterwards, so the projection cost
+  /// is timed as a phase of its own.
   void integrate(const ActuatorCommand& cmd, double dt);
 
-  /// Frenet-search hint for this vehicle: arc length of its last
-  /// projection (negative before the first one).
-  double frenet_hint() const noexcept { return frenet_.hint(); }
+  /// Project the current world pose onto the road and store its Frenet
+  /// coordinates, seeded with this vehicle's previous projection.
+  void refresh_frenet() noexcept;
 
   /// Segment index of this vehicle's last projection
   /// (geom::Polyline::kNoSegmentHint before the first one). Seeds hinted
   /// road heading/curvature queries without a fresh segment search.
   std::size_t frenet_segment() const noexcept { return frenet_.hint_segment(); }
-
-  /// Complete an integrate() step with an externally computed projection of
-  /// state().pose.position; equivalent to the refresh step() performs.
-  void apply_projection(const geom::Polyline::Projection& proj) noexcept;
 
   /// Current ground-truth state.
   const VehicleState& state() const noexcept { return state_; }
@@ -73,15 +66,7 @@ class Vehicle {
   /// Physical parameters.
   const VehicleParams& params() const noexcept { return params_; }
 
-  /// Immediately set speed (used by scripted lead-vehicle profiles).
-  void set_speed(double speed) noexcept;
-
-  /// True once speed has reached zero and no positive accel is commanded.
-  bool stopped() const noexcept { return state_.speed <= 1e-3; }
-
  private:
-  void refresh_frenet();
-
   const road::Road* road_;
   VehicleParams params_;
   LongitudinalDynamics longitudinal_;

@@ -74,6 +74,20 @@ TEST(DbcText, RejectsMalformedInput) {
   EXPECT_THROW(
       can::parse_dbc("BO_ 1 M: 8 X\n SG_ S : 64|1@1+ (1,0) [0|1] \"\" Y\n"),
       std::invalid_argument);
+  // A signal whose bits lie outside the DLC would be packed into bytes the
+  // frame never carries: Intel bits 56..63 of a 2-byte message, and a
+  // Motorola signal starting in byte 2 of one.
+  EXPECT_THROW(
+      can::parse_dbc("BO_ 16 M: 2 X\n SG_ S : 56|8@1+ (1,0) [0|255] \"\" Y\n"),
+      std::invalid_argument);
+  EXPECT_THROW(
+      can::parse_dbc("BO_ 16 M: 2 X\n SG_ S : 23|8@0+ (1,0) [0|255] \"\" Y\n"),
+      std::invalid_argument);
+  // The last byte itself is fine in either byte order.
+  EXPECT_NO_THROW(
+      can::parse_dbc("BO_ 16 M: 2 X\n SG_ S : 8|8@1+ (1,0) [0|255] \"\" Y\n"));
+  EXPECT_NO_THROW(
+      can::parse_dbc("BO_ 16 M: 2 X\n SG_ S : 15|8@0+ (1,0) [0|255] \"\" Y\n"));
   try {
     can::parse_dbc("BO_ 1 M: 8 X\n SG_ S : -3|8@1+ (1,0) [0|1] \"\" Y\n");
     ADD_FAILURE() << "start bit -3 was accepted";

@@ -49,15 +49,6 @@ TEST(Vec2, RotationAndPerp) {
   EXPECT_EQ((Vec2{1.0, 0.0}.perp().y), 1.0);  // left normal
 }
 
-TEST(Pose, RoundTripTransforms) {
-  const geom::Pose pose{{5.0, -2.0}, kPi / 3.0};
-  const Vec2 local{1.5, -0.7};
-  const Vec2 world = pose.local_to_world(local);
-  const Vec2 back = pose.world_to_local(world);
-  EXPECT_NEAR(back.x, local.x, 1e-12);
-  EXPECT_NEAR(back.y, local.y, 1e-12);
-}
-
 TEST(Polyline, RejectsDegenerate) {
   EXPECT_THROW(geom::Polyline({{0, 0}}), std::invalid_argument);
   EXPECT_THROW(geom::Polyline({{0, 0}, {0, 0}}), std::invalid_argument);
@@ -156,19 +147,6 @@ TEST(Polyline, HintedProjectionMatchesFull) {
   }
 }
 
-TEST(Polyline, ProjectManySpansMatchSingleCalls) {
-  const geom::Polyline line({{0, 0}, {40, 0}, {80, 10}, {120, 40}});
-  const std::vector<Vec2> points{{10.0, 3.0}, {60.0, -2.0}, {118.0, 45.0}};
-  const std::vector<double> hints{-1.0, 55.0, 0.0};
-  std::vector<geom::Polyline::Projection> batch(points.size());
-  line.project_many(points, hints, batch);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const auto single = line.project(points[i], hints[i]);
-    EXPECT_EQ(batch[i].s, single.s);
-    EXPECT_EQ(batch[i].lateral, single.lateral);
-  }
-}
-
 TEST(Frenet, RoundTrip) {
   const geom::Polyline line({{0, 0}, {50, 0}, {100, 30}});
   geom::FrenetFrame frame(line);
@@ -223,19 +201,6 @@ TEST(Frenet, HintSurvivesTeleportingPoints) {
     EXPECT_EQ(hinted.d, cold.lateral) << "i=" << i;
     EXPECT_EQ(frame.hint(), hinted.s);
   }
-}
-
-TEST(Frenet, AcceptMatchesToFrenet) {
-  const geom::Polyline line({{0, 0}, {50, 0}, {100, 30}});
-  geom::FrenetFrame via_accept(line);
-  geom::FrenetFrame via_to_frenet(line);
-  const Vec2 p{42.0, 1.2};
-  const auto direct = via_to_frenet.to_frenet(p);
-  const auto accepted =
-      via_accept.accept(line.project(p, via_accept.hint()));
-  EXPECT_EQ(accepted.s, direct.s);
-  EXPECT_EQ(accepted.d, direct.d);
-  EXPECT_EQ(via_accept.hint(), via_to_frenet.hint());
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Differential / property suite for the Polyline projection kernel.
 //
-// The fast SoA kernel (Polyline::project / project_many) is compared
+// The fast SoA kernel (Polyline::project) is compared
 // against an independent brute-force all-segments reference implemented
 // here, over randomized polylines — uniform and jittered spacing, hairpins,
 // near-duplicate-length segments — and thousands of query points, including
@@ -331,50 +331,12 @@ TEST(ProjectDifferential, UTurnStaleHintRegression) {
   }
 }
 
-TEST(ProjectDifferential, ProjectManyMatchesProjectElementwise) {
-  util::Rng rng(5);
-  for (const Shape& shape : shapes()) {
-    SCOPED_TRACE(shape.name);
-    const Polyline line(shape.pts);
-    const auto queries = query_points(rng, line, 600);
-    std::vector<double> hints(queries.size());
-    for (std::size_t i = 0; i < hints.size(); ++i)
-      hints[i] = rng.uniform(0.0, 1.0) < 0.3
-                     ? -1.0
-                     : rng.uniform(0.0, line.length());
-    std::vector<Polyline::Projection> batched(queries.size());
-    line.project_many(queries, hints, batched);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      const auto single = line.project(queries[i], hints[i]);
-      EXPECT_EQ(batched[i].s, single.s) << "i=" << i;
-      EXPECT_EQ(batched[i].lateral, single.lateral) << "i=" << i;
-      EXPECT_EQ(batched[i].closest.x, single.closest.x) << "i=" << i;
-      EXPECT_EQ(batched[i].closest.y, single.closest.y) << "i=" << i;
-    }
-  }
-}
-
-TEST(ProjectDifferential, ProjectManyWithoutHintsIsFullSearch) {
-  util::Rng rng(6);
-  auto fork = rng.fork(7);
-  const auto pts = jittered_curve(fork, 300, 0.1);
-  const Polyline line(pts);
-  const auto queries = query_points(rng, line, 200);
-  std::vector<Polyline::Projection> batched(queries.size());
-  line.project_many(queries, {}, batched);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const auto full = line.project(queries[i], -1.0);
-    EXPECT_EQ(batched[i].s, full.s) << "i=" << i;
-    EXPECT_EQ(batched[i].lateral, full.lateral) << "i=" << i;
-  }
-}
-
 TEST(ProjectDifferential, PaperRoadWorkloadIsBitExact) {
   // The query stream perfbench times (cli::projection_workload): four
   // vehicles advancing along the paper road, each carrying its own hint
-  // from tick to tick, exactly as World projects them. Hinted project and
-  // the batched project_many must both reproduce project_reference, which
-  // must itself be the oracle, bit for bit.
+  // from tick to tick, exactly as World projects them. Hinted project must
+  // reproduce project_reference, which must itself be the oracle, bit for
+  // bit.
   const road::Road road = road::RoadBuilder::paper_road();
   const Polyline& line = road.reference();
   std::vector<Vec2> pts;
@@ -386,11 +348,7 @@ TEST(ProjectDifferential, PaperRoadWorkloadIsBitExact) {
   ASSERT_EQ(points.size(), kTicks * kLanes);
 
   std::vector<double> hints(kLanes, -1.0);
-  std::vector<double> batch_hints(kLanes, -1.0);
-  std::vector<Polyline::Projection> batched(kLanes);
   for (std::size_t t = 0; t < kTicks; ++t) {
-    line.project_many({points.data() + t * kLanes, kLanes}, batch_hints,
-                      batched);
     for (std::size_t l = 0; l < kLanes; ++l) {
       const Vec2 p = points[t * kLanes + l];
       const auto want = oracle_project(pts, p).proj;
@@ -400,10 +358,7 @@ TEST(ProjectDifferential, PaperRoadWorkloadIsBitExact) {
       EXPECT_EQ(ref.lateral, want.lateral) << "t=" << t << " lane=" << l;
       EXPECT_EQ(hinted.s, ref.s) << "t=" << t << " lane=" << l;
       EXPECT_EQ(hinted.lateral, ref.lateral) << "t=" << t << " lane=" << l;
-      EXPECT_EQ(batched[l].s, ref.s) << "t=" << t << " lane=" << l;
-      EXPECT_EQ(batched[l].lateral, ref.lateral) << "t=" << t << " lane=" << l;
       hints[l] = hinted.s;
-      batch_hints[l] = batched[l].s;
     }
   }
 }

@@ -267,17 +267,17 @@ TEST(Realtime, FifoTapMatchesMessageLogOracle) {
   EXPECT_EQ(streamed, oracle);
 }
 
-TEST(Realtime, FifoTapResetRearmsBrokenLatch) {
+TEST(Realtime, FifoTapLatchesBrokenPipe) {
   namespace fs = std::filesystem;
   const fs::path path =
       fs::temp_directory_path() /
-      ("scaa_tap_reset." + std::to_string(static_cast<long long>(::getpid())));
+      ("scaa_tap_epipe." + std::to_string(static_cast<long long>(::getpid())));
   fs::remove(path);
   ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
 
   // O_NONBLOCK lets the read end open without a writer, which in turn lets
   // the tap's O_WRONLY open succeed immediately.
-  int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  const int reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
   ASSERT_GE(reader, 0);
 
   msg::PubSubBus bus;
@@ -298,21 +298,6 @@ TEST(Realtime, FifoTapResetRearmsBrokenLatch) {
   bus.publish(cs);
   EXPECT_EQ(tap.frames_streamed(), 1u);
 
-  // The satellite fix: reset() re-arms the latch for the next run, so a
-  // fresh reader sees frames again — without it the tap stays silently
-  // muted for every simulation after the first hang-up.
-  reader = ::open(path.c_str(), O_RDONLY | O_NONBLOCK);
-  ASSERT_GE(reader, 0);
-  tap.reset();
-  EXPECT_FALSE(tap.broken());
-  EXPECT_EQ(tap.write_errno(), 0);
-  EXPECT_EQ(tap.frames_streamed(), 0u);
-  bus.publish(cs);
-  bus.publish(cs);
-  EXPECT_EQ(tap.frames_streamed(), 2u);
-  EXPECT_FALSE(tap.broken());
-
-  ::close(reader);
   fs::remove(path);
 }
 
