@@ -125,10 +125,10 @@ std::vector<std::unique_ptr<Checkpoint>> open_slice_checkpoints(
 }
 
 /// Run every slice (anything with a `name` and a `grid`) through one
-/// exp::run_campaigns_streaming call — one pool for all of them — with a
-/// decile progress display per slice, and return one Aggregate per slice
-/// in slice order; under --shard i/N only this worker's chunks of each
-/// slice run, and each Aggregate covers them alone. Every slice's
+/// exp::run_campaigns_streaming call — one set of workers for all of them
+/// — with a decile progress display per slice, and return one Aggregate
+/// per slice in slice order; under --shard i/N only this worker's chunks
+/// of each slice run, and each Aggregate covers them alone. Every slice's
 /// checkpoint opens before the first simulation (open_slice_checkpoints).
 template <class Slice>
 std::vector<exp::Aggregate> run_slices(const std::vector<Slice>& slices,
@@ -335,7 +335,8 @@ Report table4_report(const CampaignOptions& options, std::ostream* progress) {
     return table4_shard_worker_report(options, progress);
 
   // In process, the streaming runner keeps O(chunks) live memory instead
-  // of one result per simulation, and the five slices share one pool.
+  // of one result per simulation, and the five slices share one set of
+  // workers.
   const std::vector<exp::Aggregate> aggs = run_slices(
       build_table4_slices(options, campaign_config(options), "table4"),
       options, progress);
@@ -619,7 +620,7 @@ Report faults_report(const CampaignOptions& options, std::ostream* progress) {
   }
 
   // A leg is a small grid (72 items per repetition: two chunks at reps 1),
-  // too small to keep a pool busy on its own, so all legs share one pool.
+  // so all legs share one set of workers, which run any leg's items.
   const std::vector<exp::Aggregate> aggs = run_slices(legs, options, progress);
 
   Report report(

@@ -182,7 +182,7 @@ exp::CampaignProgressFn decile_progress(std::ostream* out,
 /// strategy. @p progress (may be null) receives per-strategy status lines.
 ///
 /// All five strategy grids run through one exp::run_campaigns_streaming
-/// call (one pool), every slice's checkpoint opened before the first
+/// call, every slice's checkpoint opened before the first
 /// simulation. With options.shard_count > 0 (manual worker, --shard i/N)
 /// the same call runs only this worker's ShardPlan chunks of each grid into
 /// its own shard-suffixed checkpoint files and returns a slice summary; a
@@ -221,7 +221,7 @@ Report fig8_report(const CampaignOptions& options, std::ostream* progress);
 /// of each grid's fingerprint, so checkpoint slices of different cells can
 /// never be confused and a resumed cell is bit-identical to an
 /// uninterrupted one. Every leg of every cell runs through one
-/// exp::run_campaigns_streaming call (one pool), every leg's checkpoint
+/// exp::run_campaigns_streaming call, every leg's checkpoint
 /// opened before the first simulation; rows and per-cell notes follow in
 /// cell order once all legs have finished.
 Report faults_report(const CampaignOptions& options, std::ostream* progress);

@@ -3,11 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "exp/checkpoint.hpp"
-#include "exp/thread_pool.hpp"
 #include "road/builder.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -88,51 +89,6 @@ sim::WorldConfig world_config_for(const CampaignItem& item,
 
 namespace {
 
-/// The first exception thrown by any chunk task. Workers poll `failed` to
-/// skip the chunks not yet started; the runner rethrows once the pool has
-/// drained, because an exception escaping a pool task would terminate the
-/// process.
-struct FirstError {
-  util::Mutex mutex;
-  std::exception_ptr first SCAA_GUARDED_BY(mutex);
-  std::atomic<bool> failed{false};
-
-  void capture(std::exception_ptr e) SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    if (!first) first = std::move(e);
-    failed.store(true, std::memory_order_release);
-  }
-  std::exception_ptr take() SCAA_EXCLUDES(mutex) {
-    const util::MutexLock lock(mutex);
-    return first;
-  }
-};
-
-/// The one chunk loop behind both runners, and the only ThreadPool in the
-/// campaign layer: runs @p run_chunk(t) for every task index t in
-/// [0, @p tasks), submitted in index order, on @p threads workers. The
-/// first exception a task throws stops the tasks not yet started and is
-/// rethrown after the pool drains.
-void run_chunks(std::size_t threads, std::size_t tasks,
-                const std::function<void(std::size_t)>& run_chunk) {
-  FirstError error;
-  {
-    ThreadPool pool(threads);
-    for (std::size_t t = 0; t < tasks; ++t) {
-      pool.submit([&run_chunk, &error, t] {
-        if (error.failed.load(std::memory_order_acquire)) return;
-        try {
-          run_chunk(t);
-        } catch (...) {
-          error.capture(std::current_exception());
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  if (const std::exception_ptr e = error.take()) std::rethrow_exception(e);
-}
-
 std::size_t chunk_count(std::size_t items) {
   return (items + kCampaignChunk - 1) / kCampaignChunk;
 }
@@ -140,6 +96,120 @@ std::size_t chunk_count(std::size_t items) {
 /// One past the last item of chunk @p c in a grid of @p items.
 std::size_t chunk_end(std::size_t c, std::size_t items) {
   return std::min(items, (c + 1) * kCampaignChunk);
+}
+
+/// One chunk as the dispatcher hands it out: chunk `chunk` of leg `leg`,
+/// whose items are [begin, end) of that leg's grid.
+struct ChunkTask {
+  std::size_t leg = 0;
+  std::size_t chunk = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// Simulates item `item` of a task's grid; called concurrently.
+using ItemFn = std::function<sim::SimulationSummary(const ChunkTask& task,
+                                                    std::size_t item)>;
+/// Folds and commits a finished chunk, its summaries in item order.
+using FoldFn = std::function<void(
+    const ChunkTask& task, std::span<const sim::SimulationSummary> summaries)>;
+
+/// A chunk with items claimed and not yet folded: one summary slot per item
+/// and the count of items still unfinished.
+struct OpenChunk {
+  explicit OpenChunk(std::size_t items) : slots(items), unfinished(items) {}
+  std::vector<sim::SimulationSummary> slots;
+  std::atomic<std::size_t> unfinished;
+};
+
+/// One claimed item and a share of its chunk's slot buffer.
+struct Claim {
+  const ChunkTask* task = nullptr;
+  std::shared_ptr<OpenChunk> open;
+  std::size_t item = 0;
+};
+
+/// The dispatcher's shared state: one cursor over every task's items in
+/// (leg, chunk, item) order, and the first exception any worker caught.
+class Cursor {
+ public:
+  explicit Cursor(std::span<const ChunkTask> tasks) : tasks_(tasks) {}
+
+  /// The next item, or nothing once every item is claimed or one failed.
+  std::optional<Claim> claim() SCAA_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    if (error_ || task_ == tasks_.size()) return std::nullopt;
+    const ChunkTask& task = tasks_[task_];
+    // A chunk's slot buffer is allocated at its first claim and shared by
+    // its claims; the last of them to let go frees it, after the fold.
+    if (!open_) open_ = std::make_shared<OpenChunk>(task.end - task.begin);
+    Claim out{&task, open_, task.begin + offset_};
+    if (++offset_ == task.end - task.begin) {
+      open_.reset();
+      offset_ = 0;
+      ++task_;
+    }
+    return out;
+  }
+
+  /// Record @p e if it is the first failure; no item is claimed after it.
+  void fail(std::exception_ptr e) SCAA_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    if (!error_) error_ = std::move(e);
+  }
+
+  std::exception_ptr error() SCAA_EXCLUDES(mutex_) {
+    const util::MutexLock lock(mutex_);
+    return error_;
+  }
+
+ private:
+  const std::span<const ChunkTask> tasks_;
+  util::Mutex mutex_;
+  std::size_t task_ SCAA_GUARDED_BY(mutex_) = 0;
+  std::size_t offset_ SCAA_GUARDED_BY(mutex_) = 0;  ///< next item in task_
+  std::shared_ptr<OpenChunk> open_ SCAA_GUARDED_BY(mutex_);
+  std::exception_ptr error_ SCAA_GUARDED_BY(mutex_);
+};
+
+/// The one scheduler behind both runners. @p threads workers (0 = hardware
+/// concurrency, never more than there are items) claim single items from
+/// one cursor in task order and @p simulate each into its chunk's slot
+/// buffer. The worker that finishes a chunk's last item calls @p fold on
+/// the chunk's summaries in item order, so the chunk stays the reduction
+/// and commit unit while a small grid still spreads over every worker.
+/// Claims follow grid order, so at most threads + 1 chunks are open at
+/// once. The first exception (from @p simulate, @p fold or a claim) stops
+/// every item not yet claimed and is rethrown after the workers join; a
+/// chunk with a failed item is never folded.
+void dispatch(std::size_t threads, std::span<const ChunkTask> tasks,
+              const ItemFn& simulate, const FoldFn& fold) {
+  if (threads == 0) {
+    const unsigned hw = std::thread::hardware_concurrency();
+    threads = hw > 0 ? hw : 4;
+  }
+  std::size_t items = 0;
+  for (const ChunkTask& task : tasks) items += task.end - task.begin;
+  Cursor cursor(tasks);
+  const auto work = [&] {
+    try {
+      while (const std::optional<Claim> claim = cursor.claim()) {
+        OpenChunk& open = *claim->open;
+        open.slots[claim->item - claim->task->begin] =
+            simulate(*claim->task, claim->item);
+        // The last decrement happens after every other slot's write.
+        if (--open.unfinished == 0) fold(*claim->task, open.slots);
+      }
+    } catch (...) {
+      cursor.fail(std::current_exception());
+    }
+  };
+  {
+    std::vector<std::jthread> workers;
+    for (std::size_t w = 0; w < std::min(threads, items); ++w)
+      workers.emplace_back(work);
+  }  // joins
+  if (const std::exception_ptr e = cursor.error()) std::rethrow_exception(e);
 }
 
 /// Progress bookkeeping shared by the streaming runner's workers: every
@@ -181,24 +251,26 @@ std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
   for (std::size_t i = 0; i < items.size(); ++i) results[i].item = items[i];
   const WorldAssets assets = WorldAssets::make_default();
 
-  // Chunk-sized tasks, because the chunk is the checkpoint's commit unit.
-  // Results are materialized by index, so granularity cannot change the
-  // outcome — only how work restores and commits.
+  // Results are materialized by index, so the chunk cannot change the
+  // outcome; it is only the unit a checkpoint restores and commits.
   if (checkpoint != nullptr) checkpoint->restore_into(results);
-  std::vector<std::size_t> pending;
+  std::vector<ChunkTask> tasks;
   for (std::size_t c = 0; c < chunk_count(items.size()); ++c)
     if (checkpoint == nullptr || !checkpoint->chunk_complete(c))
-      pending.push_back(c);
-  run_chunks(config.threads, pending.size(), [&](std::size_t t) {
-    const std::size_t c = pending[t];
-    const std::size_t begin = c * kCampaignChunk;
-    const std::size_t end = chunk_end(c, items.size());
-    for (std::size_t i = begin; i < end; ++i)
-      results[i].summary =
-          simulate ? simulate(i, assets) : simulate_fresh(items[i], assets);
-    if (checkpoint != nullptr)
-      checkpoint->commit(c, results.data() + begin, end - begin);
-  });
+      tasks.push_back({0, c, c * kCampaignChunk, chunk_end(c, items.size())});
+  dispatch(
+      config.threads, tasks,
+      [&](const ChunkTask&, std::size_t i) {
+        return simulate ? simulate(i, assets) : simulate_fresh(items[i], assets);
+      },
+      [&](const ChunkTask& task,
+          std::span<const sim::SimulationSummary> summaries) {
+        CampaignResult* const chunk = results.data() + task.begin;
+        for (std::size_t k = 0; k < summaries.size(); ++k)
+          chunk[k].summary = summaries[k];
+        if (checkpoint != nullptr)
+          checkpoint->commit(task.chunk, chunk, summaries.size());
+      });
   return results;
 }
 
@@ -299,28 +371,18 @@ std::vector<Aggregate> run_campaigns_streaming(
     const std::vector<CampaignLeg>& legs, const CampaignConfig& config) {
   const WorldAssets assets = WorldAssets::make_default();
 
-  // One accumulator per chunk, padded to a cache line: each is written by
-  // exactly one worker, and the padding keeps neighbouring chunks from
-  // false-sharing while workers fold results in concurrently.
-  struct alignas(64) PaddedAccumulator {
-    AggregateAccumulator acc;
-  };
   // The chunk range one leg owns — the whole grid, or a shard's slice
-  // (clamped so an oversized range is harmless) — and its partials.
+  // (clamped so an oversized range is harmless) — and one partial
+  // accumulator per chunk, each written only by the worker that folds it.
   struct LegRun {
     std::size_t range_begin = 0;
     std::size_t range_end = 0;
     std::size_t range_items = 0;
-    std::vector<PaddedAccumulator> partials;
-  };
-  // One pool task: chunk `chunk` of leg `leg`.
-  struct Task {
-    std::size_t leg = 0;
-    std::size_t chunk = 0;
+    std::vector<AggregateAccumulator> partials;
   };
 
   std::vector<LegRun> runs(legs.size());
-  std::vector<Task> tasks;
+  std::vector<ChunkTask> tasks;
   ProgressCounter counter(legs.size());
   for (std::size_t l = 0; l < legs.size(); ++l) {
     const CampaignLeg& leg = legs[l];
@@ -334,44 +396,49 @@ std::vector<Aggregate> run_campaigns_streaming(
                               : n_chunks;
     run.partials.resize(n_chunks);
 
-    // Restore already-committed chunks before submitting anything: they
+    // Restore already-committed chunks before dispatching anything: they
     // are never recomputed, and the leg's first progress callback accounts
     // for them. Only in-range chunks count — a shard worker reports its
     // slice alone.
     std::size_t restored = 0;
     for (std::size_t c = run.range_begin; c < run.range_end; ++c) {
-      const std::size_t items = chunk_end(c, n_items) - c * kCampaignChunk;
-      run.range_items += items;
+      const std::size_t begin = c * kCampaignChunk;
+      const std::size_t end = chunk_end(c, n_items);
+      run.range_items += end - begin;
       if (leg.checkpoint != nullptr && leg.checkpoint->chunk_complete(c)) {
-        run.partials[c].acc = leg.checkpoint->restored(c);
-        restored += items;
+        run.partials[c] = leg.checkpoint->restored(c);
+        restored += end - begin;
       } else {
-        tasks.push_back(Task{l, c});
+        tasks.push_back({l, c, begin, end});
       }
     }
     if (leg.progress && restored > 0)
       counter.advance(l, restored, run.range_items, leg.progress);
   }
 
-  run_chunks(config.threads, tasks.size(), [&](std::size_t t) {
-    const auto [l, c] = tasks[t];
-    const CampaignLeg& leg = legs[l];
-    AggregateAccumulator& acc = runs[l].partials[c].acc;
-    const std::size_t begin = c * kCampaignChunk;
-    const std::size_t end = chunk_end(c, leg.items.size());
-    // Fold in item order within the chunk — the same order the sequential
-    // reduction uses.
-    for (std::size_t i = begin; i < end; ++i)
-      acc.add(simulate_fresh(leg.items[i], assets));
-    // Commit before reporting progress: a chunk only ever counts as done
-    // once it is durable.
-    if (leg.checkpoint != nullptr) leg.checkpoint->commit(c, acc);
-    if (leg.progress)
-      counter.advance(l, end - begin, runs[l].range_items, leg.progress);
-  });
+  dispatch(
+      config.threads, tasks,
+      [&](const ChunkTask& task, std::size_t i) {
+        return simulate_fresh(legs[task.leg].items[i], assets);
+      },
+      [&](const ChunkTask& task,
+          std::span<const sim::SimulationSummary> summaries) {
+        const CampaignLeg& leg = legs[task.leg];
+        AggregateAccumulator& acc = runs[task.leg].partials[task.chunk];
+        // Fold in item order within the chunk — the same order the
+        // sequential reduction uses.
+        for (const sim::SimulationSummary& summary : summaries)
+          acc.add(summary);
+        // Commit before reporting progress: a chunk only ever counts as
+        // done once it is durable.
+        if (leg.checkpoint != nullptr) leg.checkpoint->commit(task.chunk, acc);
+        if (leg.progress)
+          counter.advance(task.leg, summaries.size(),
+                          runs[task.leg].range_items, leg.progress);
+      });
 
   // Merge each leg in its own chunk order: the fixed order is what makes
-  // the result independent of which worker ran which chunk, of what the
+  // the result independent of which workers ran a chunk's items, of what the
   // other legs are — and, with a checkpoint, of which chunks were restored
   // vs. freshly computed. A sliced leg folds only its own range, so its
   // Aggregate covers exactly the slice's items.
@@ -380,7 +447,7 @@ std::vector<Aggregate> run_campaigns_streaming(
   for (const LegRun& run : runs) {
     AggregateAccumulator total;
     for (std::size_t c = run.range_begin; c < run.range_end; ++c)
-      total.merge(run.partials[c].acc);
+      total.merge(run.partials[c]);
     aggregates.push_back(total.finish());
   }
   return aggregates;

@@ -6,8 +6,9 @@
 /// The paper's grid: 6 attack types x 4 scenarios x 3 initial gaps x 20
 /// repetitions = 1,440 simulations per strategy (14,400 for Random-ST+DUR,
 /// which uses 200 repetitions for parameter-space coverage). Each simulation
-/// is a pure function of its CampaignItem, so the runner parallelizes over
-/// a thread pool with bit-identical results at any thread count.
+/// is a pure function of its CampaignItem, so the runners hand items out to
+/// worker threads one at a time with bit-identical results at any thread
+/// count.
 
 #include <cstdint>
 #include <functional>
@@ -81,10 +82,11 @@ sim::WorldConfig world_config_for(const CampaignItem& item);
 sim::WorldConfig world_config_for(const CampaignItem& item,
                                   const WorldAssets& assets);
 
-/// Items per pool task. Also the reduction granularity of the streaming
-/// aggregator and the commit granularity of the checkpoint layer: fixed, so
+/// The fold and commit unit: the reduction granularity of the streaming
+/// aggregator and the commit granularity of the checkpoint layer. Fixed, so
 /// streaming results are bit-identical to the vector-of-results path at any
-/// thread count, and a resumed campaign restores whole chunks.
+/// thread count, and a resumed campaign restores whole chunks. Scheduling
+/// is per item: the items of one chunk may run on different workers.
 inline constexpr std::size_t kCampaignChunk = 64;
 
 class CampaignCheckpoint;  // exp/checkpoint.hpp: streaming-aggregate mode
@@ -105,17 +107,18 @@ struct ChunkRange {
 
 /// Per-item simulation hook for run_campaign: the item's index into the
 /// grid and the campaign's shared assets in, that item's summary out. It is
-/// called concurrently from pool workers, once per item, so whatever it
+/// called concurrently from worker threads, once per item, so whatever it
 /// writes besides its return value must go to a slot owned by that index.
 using SimulateFn = std::function<sim::SimulationSummary(
     std::size_t index, const WorldAssets& assets)>;
 
 /// Run every item, each in its own freshly constructed World; results are
-/// returned in item order (deterministic). Work is submitted in
-/// kCampaignChunk chunks. With a @p checkpoint (may be null), chunks the
-/// checkpoint already holds are restored instead of recomputed, and every
-/// freshly finished chunk is durably committed, so a killed run resumes
-/// where it left off with bit-identical results.
+/// returned in item order (deterministic). Up to config.threads workers
+/// claim one item at a time in grid order. With a @p checkpoint (may be
+/// null), kCampaignChunk chunks the checkpoint already holds are restored
+/// instead of recomputed, and each chunk is durably committed by the worker
+/// that finishes its last item, so a killed run resumes where it left off
+/// with bit-identical results.
 ///
 /// A non-empty @p simulate replaces the default per-item run, a fresh
 /// `World(world_config_for(item, assets)).run()`: it may adjust the
@@ -123,8 +126,9 @@ using SimulateFn = std::function<sim::SimulationSummary(
 /// attach a detector to the World. grid_fingerprint cannot see what a hook
 /// does, so a hook together with a @p checkpoint throws
 /// std::invalid_argument. The first exception any item throws — from the
-/// hook, the simulation or a commit — stops the chunks not yet started and
-/// is rethrown once the pool has drained.
+/// hook, the simulation or a commit — stops every item not yet claimed and
+/// is rethrown once the workers have joined; a chunk with a failed item is
+/// never committed.
 std::vector<CampaignResult> run_campaign(const std::vector<CampaignItem>& items,
                                          const CampaignConfig& config,
                                          ResultsCheckpoint* checkpoint = nullptr,
@@ -212,17 +216,20 @@ struct CampaignLeg {
 };
 
 /// Run every item of every leg WITHOUT materializing per-item results, and
-/// return one Aggregate per leg, in leg order. Every (leg, chunk) pair is
-/// one kCampaignChunk-sized task in a single pool, created and joined
-/// inside the call, so a report made of many small grids (the faults
-/// sweep: 50 legs of 72 items per repetition) keeps every worker busy
-/// instead of running its grids one after another a few chunks at a time. Each task folds its
-/// outcomes into its own cache-line-padded accumulator, and each leg's
-/// partials are merged in that leg's chunk order after the pool drains.
-/// Memory stays O(items / kCampaignChunk) accumulators (~64 B each)
-/// instead of O(items) summaries, and every leg's Aggregate is
-/// bit-identical to aggregate(run_campaign(leg items, config)) at any
-/// thread count and whatever the other legs are.
+/// return one Aggregate per leg, in leg order. The workers, created and
+/// joined inside the call, claim one item at a time from a single cursor
+/// over every leg in (leg, chunk, item) order, so a small grid, or a
+/// report made of many (the faults sweep: 50 legs of 72 items per
+/// repetition), keeps every worker busy to its end. A claimed item's
+/// summary goes to a slot buffer owned by its kCampaignChunk chunk; the
+/// worker that finishes the chunk's last item folds the slots in item order
+/// into the chunk's accumulator, and each leg's partials are merged in that
+/// leg's chunk order once the workers join. At most threads + 1 chunks are
+/// open at a time, so memory stays O(threads x kCampaignChunk) summaries
+/// plus O(items / kCampaignChunk) accumulators instead of O(items)
+/// summaries, and every leg's Aggregate is bit-identical to
+/// aggregate(run_campaign(leg items, config)) at any thread count and
+/// whatever the other legs are.
 ///
 /// Progress: every leg's callback (may be empty) is called under ONE lock
 /// shared by all legs of the call, so callbacks never run concurrently —
@@ -233,15 +240,16 @@ struct CampaignLeg {
 ///
 /// With a leg's checkpoint (may be null), chunks the checkpoint already
 /// holds are restored (never recomputed) and counted into that leg's first
-/// progress callback, and each freshly finished chunk is committed — an
+/// progress callback, and each freshly folded chunk is committed — an
 /// fsync'd atomic append — before it reports progress. Because restored and
 /// recomputed partials merge in the same fixed chunk order, a run that is
 /// killed and resumed any number of times returns Aggregates bit-identical
 /// to an uninterrupted run, at any thread count. The caller opens every
 /// checkpoint before the call, so a checkpoint that cannot be opened fails
 /// before any simulation runs. A failure in any leg (a commit, e.g. disk
-/// full, a simulation, or a progress callback) stops the chunks of every
-/// leg not yet started and is rethrown after the pool drains.
+/// full, a simulation, or a progress callback) stops the items of every
+/// leg not yet claimed and is rethrown after the workers join; a chunk
+/// with a failed item is never committed.
 ///
 /// With a leg's chunks range (may be null = the whole grid), only the
 /// chunks in [begin_chunk, end_chunk) are restored, run, folded, and

@@ -257,7 +257,7 @@ struct CheckpointCore {
 
   /// Guards the commit path: the per-chunk completion flags and the
   /// restored-progress counters, plus serialization of file appends
-  /// (commit() is called concurrently from pool workers).
+  /// (commit() is called concurrently from campaign workers).
   mutable util::Mutex mutex;
   std::vector<char> complete SCAA_GUARDED_BY(mutex);  // one flag per chunk
   std::size_t restored_chunks SCAA_GUARDED_BY(mutex) = 0;

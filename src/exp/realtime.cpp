@@ -41,11 +41,11 @@ RealtimeReport RealtimeExecutor::run(sim::World& world,
   // visible upper half; subsystem phases are each a fraction of the budget,
   // so their histograms resolve a tenth of it.
   report.phases.emplace_back("tick", 2.0 * budget_us);
-  report.phases.emplace_back("sense_publish", budget_us / 10.0);
+  report.phases.emplace_back("traffic", budget_us / 10.0);
   report.phases.emplace_back("project_sweep", budget_us / 10.0);
-  report.phases.emplace_back("adas_plan", budget_us / 10.0);
+  report.phases.emplace_back("ego", budget_us / 10.0);
   report.phases.emplace_back("monitor", budget_us / 10.0);
-  enum { kTick = 0, kSense, kProject, kAdas, kMonitor };
+  enum { kTick = 0, kTraffic, kProject, kEgo, kMonitor };
 
   util::DeadlineClock clock(config.period_s);
   clock.start();
@@ -72,9 +72,9 @@ RealtimeReport RealtimeExecutor::run(sim::World& world,
     }
 
     report.phases[kTick].add(tick_end - t0);
-    report.phases[kSense].add(t1 - t0);
+    report.phases[kTraffic].add(t1 - t0);
     report.phases[kProject].add((t2 - t1) + (t4 - t3));
-    report.phases[kAdas].add(t3 - t2);
+    report.phases[kEgo].add(t3 - t2);
     report.phases[kMonitor].add(t5 - t4);
 
     const util::DeadlineClock::Tick tick = clock.wait_next();

@@ -66,12 +66,12 @@ struct RealtimeReport {
   double period_s = 0.01;
 
   /// phases[0] is the whole tick; the rest decompose it along the
-  /// World::step phase boundaries: "sense_publish" (begin_tick: road
-  /// queries and the traffic vehicles' dynamics), "project_sweep"
-  /// (project_traffic plus project_ego: every moved vehicle's Frenet
-  /// refresh), "adas_plan" (mid_tick: sensors, bus publish, attack, ADAS
-  /// planners and controls, driver, Ego dynamics), "monitor" (end_tick:
-  /// hazard/safety monitoring).
+  /// World::step phase boundaries: "traffic" (begin_tick: road queries
+  /// and the traffic vehicles' dynamics), "project_sweep" (project_traffic
+  /// plus project_ego: every moved vehicle's Frenet refresh), "ego"
+  /// (mid_tick: sensors, bus publish, attack, ADAS planners and controls,
+  /// driver, Ego dynamics), "monitor" (end_tick: hazard/safety
+  /// monitoring).
   std::vector<PhaseStats> phases;
 
   /// Fraction of ticks that overran; 0 when no tick ran.

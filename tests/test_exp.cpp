@@ -1,21 +1,23 @@
-// Tests for the experiment layer: thread pool, campaign grid/runner,
-// aggregation, table emitters, parameter-space sweep.
+// Tests for the experiment layer: campaign grid/runner, aggregation,
+// table emitters, parameter-space sweep.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "exp/campaign.hpp"
 #include "exp/checkpoint.hpp"
 #include "exp/param_space.hpp"
 #include "exp/tables.hpp"
-#include "exp/thread_pool.hpp"
 #include "util/serial.hpp"
 
 namespace {
@@ -28,25 +30,6 @@ exp::CampaignConfig grid_config(int reps, std::uint64_t seed) {
   config.repetitions = reps;
   config.base_seed = seed;
   return config;
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  exp::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 1000; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
-  exp::ThreadPool pool(2);
-  pool.wait_idle();  // must not deadlock
-  SUCCEED();
-}
-
-TEST(ThreadPool, ZeroMeansHardwareConcurrency) {
-  exp::ThreadPool pool(0);
-  EXPECT_GE(pool.size(), 1u);
 }
 
 TEST(Campaign, GridShapeMatchesPaper) {
@@ -185,8 +168,8 @@ TEST(Campaign, DefaultRebuildingHookMatchesDefaultRun) {
 }
 
 TEST(Campaign, HookExceptionIsRethrownAfterDrain) {
-  // A throw inside a pool task used to reach std::terminate; the runner
-  // must surface the original exception type to its caller instead.
+  // A throw inside a worker used to reach std::terminate; the runner must
+  // surface the original exception type to its caller instead.
   const auto grid = exp::make_grid(attack::StrategyKind::kNone, false, true,
                                    grid_config(2, 3));  // 144 items, 3 chunks
   exp::CampaignConfig cc;
@@ -198,6 +181,58 @@ TEST(Campaign, HookExceptionIsRethrownAfterDrain) {
   };
   EXPECT_THROW(exp::run_campaign(grid, cc, nullptr, throw_on_one),
                std::out_of_range);
+}
+
+TEST(Campaign, ThrowStopsUnclaimedItems) {
+  // One worker claims items in grid order, so once item 70 throws no later
+  // item is claimed, and the caller gets the original exception.
+  const auto grid = exp::make_grid(attack::StrategyKind::kNone, false, true,
+                                   grid_config(2, 3));  // 144 items, 3 chunks
+  exp::CampaignConfig cc;
+  cc.threads = 1;
+  std::size_t max_seen = 0;  // read after the workers joined
+  const exp::SimulateFn throw_on_one = [&max_seen](std::size_t i,
+                                                   const exp::WorldAssets&) {
+    if (i > max_seen) max_seen = i;
+    if (i == 70) throw std::out_of_range("item 70");
+    return sim::SimulationSummary{};
+  };
+  EXPECT_THROW(exp::run_campaign(grid, cc, nullptr, throw_on_one),
+               std::out_of_range);
+  EXPECT_EQ(max_seen, 70u);
+}
+
+TEST(Campaign, OneChunkSpreadsAcrossWorkers) {
+  // The items of a single chunk are claimed one at a time, so a one-chunk
+  // grid runs on more than one worker. Items wait until two threads have
+  // entered; after one 5 s timeout none waits, so a regression fails
+  // instead of hanging.
+  const auto grid = exp::make_grid(attack::StrategyKind::kNone, false, true,
+                                   grid_config(1, 3));
+  ASSERT_GE(grid.size(), exp::kCampaignChunk);
+  const std::vector<exp::CampaignItem> chunk(
+      grid.begin(), grid.begin() + exp::kCampaignChunk);
+  std::vector<std::thread::id> ran_on(chunk.size());
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::set<std::thread::id> entered;
+  bool timed_out = false;
+  const exp::SimulateFn hook = [&](std::size_t i, const exp::WorldAssets&) {
+    ran_on[i] = std::this_thread::get_id();
+    std::unique_lock<std::mutex> lock(mutex);
+    entered.insert(ran_on[i]);
+    cv.notify_all();
+    if (!timed_out &&
+        !cv.wait_for(lock, std::chrono::seconds(5),
+                     [&entered] { return entered.size() >= 2; }))
+      timed_out = true;
+    return sim::SimulationSummary{};
+  };
+  exp::CampaignConfig cc;
+  cc.threads = 4;
+  exp::run_campaign(chunk, cc, nullptr, hook);
+  const std::set<std::thread::id> distinct(ran_on.begin(), ran_on.end());
+  EXPECT_GE(distinct.size(), 2u);
 }
 
 TEST(Campaign, HookWithCheckpointIsRejected) {
@@ -219,6 +254,23 @@ TEST(Campaign, HookWithCheckpointIsRejected) {
   std::remove(path.c_str());
 }
 
+/// Bit-level equality of two Aggregates, the floating-point moments
+/// compared by bit pattern.
+void expect_aggregate_bits_eq(const exp::Aggregate& a, const exp::Aggregate& b,
+                              std::size_t leg) {
+  SCOPED_TRACE(leg);
+  EXPECT_EQ(a.simulations, b.simulations);
+  EXPECT_EQ(a.sims_with_alerts, b.sims_with_alerts);
+  EXPECT_EQ(a.sims_with_hazards, b.sims_with_hazards);
+  EXPECT_EQ(a.sims_with_accidents, b.sims_with_accidents);
+  EXPECT_EQ(a.hazards_without_alerts, b.hazards_without_alerts);
+  EXPECT_EQ(a.fcw_activations, b.fcw_activations);
+  EXPECT_EQ(util::double_bits(a.lane_invasion_rate_mean),
+            util::double_bits(b.lane_invasion_rate_mean));
+  EXPECT_EQ(util::double_bits(a.tth_mean), util::double_bits(b.tth_mean));
+  EXPECT_EQ(util::double_bits(a.tth_std), util::double_bits(b.tth_std));
+}
+
 TEST(Campaign, StreamingMatchesVectorPathBitExactly) {
   // The streaming runner must produce the same Aggregate as materializing
   // every result and reducing it — including the floating-point moments —
@@ -232,21 +284,13 @@ TEST(Campaign, StreamingMatchesVectorPathBitExactly) {
   cc.threads = 4;
   const auto vector_agg = exp::aggregate(exp::run_campaign(grid, cc));
 
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
+    SCOPED_TRACE(threads);
     exp::CampaignConfig scc;
     scc.threads = threads;
-    const auto streamed = exp::run_campaign_streaming(grid, scc);
-    EXPECT_EQ(streamed.simulations, vector_agg.simulations);
-    EXPECT_EQ(streamed.sims_with_alerts, vector_agg.sims_with_alerts);
-    EXPECT_EQ(streamed.sims_with_hazards, vector_agg.sims_with_hazards);
-    EXPECT_EQ(streamed.sims_with_accidents, vector_agg.sims_with_accidents);
-    EXPECT_EQ(streamed.hazards_without_alerts,
-              vector_agg.hazards_without_alerts);
-    EXPECT_EQ(streamed.fcw_activations, vector_agg.fcw_activations);
-    EXPECT_DOUBLE_EQ(streamed.lane_invasion_rate_mean,
-                     vector_agg.lane_invasion_rate_mean);
-    EXPECT_DOUBLE_EQ(streamed.tth_mean, vector_agg.tth_mean);
-    EXPECT_DOUBLE_EQ(streamed.tth_std, vector_agg.tth_std);
+    expect_aggregate_bits_eq(exp::run_campaign_streaming(grid, scc),
+                             vector_agg, 0);
   }
 }
 
@@ -266,23 +310,6 @@ TEST(Campaign, StreamingReportsMonotonicProgress) {
     EXPECT_GT(seen[i].completed, seen[i - 1].completed);
   EXPECT_EQ(seen.back().completed, grid.size());
   EXPECT_EQ(seen.back().total, grid.size());
-}
-
-/// Bit-level equality of two Aggregates, the floating-point moments
-/// compared by bit pattern.
-void expect_aggregate_bits_eq(const exp::Aggregate& a, const exp::Aggregate& b,
-                              std::size_t leg) {
-  SCOPED_TRACE(leg);
-  EXPECT_EQ(a.simulations, b.simulations);
-  EXPECT_EQ(a.sims_with_alerts, b.sims_with_alerts);
-  EXPECT_EQ(a.sims_with_hazards, b.sims_with_hazards);
-  EXPECT_EQ(a.sims_with_accidents, b.sims_with_accidents);
-  EXPECT_EQ(a.hazards_without_alerts, b.hazards_without_alerts);
-  EXPECT_EQ(a.fcw_activations, b.fcw_activations);
-  EXPECT_EQ(util::double_bits(a.lane_invasion_rate_mean),
-            util::double_bits(b.lane_invasion_rate_mean));
-  EXPECT_EQ(util::double_bits(a.tth_mean), util::double_bits(b.tth_mean));
-  EXPECT_EQ(util::double_bits(a.tth_std), util::double_bits(b.tth_std));
 }
 
 /// Three grids for the multi-leg runner, none a multiple of kCampaignChunk:
@@ -308,8 +335,8 @@ exp::CampaignLeg plain_leg(const std::vector<exp::CampaignItem>& grid) {
 }
 
 TEST(Campaign, MultiLegMatchesPerLegRunsBitExactly) {
-  // One pool over every (leg, chunk) pair must not change a bit of any
-  // leg: each leg still merges its own partials in its own chunk order.
+  // One cursor over every leg's items must not change a bit of any leg:
+  // each leg still merges its own partials in its own chunk order.
   const auto grids = multi_leg_grids();
   exp::CampaignConfig cc;
   cc.threads = 4;
@@ -319,7 +346,8 @@ TEST(Campaign, MultiLegMatchesPerLegRunsBitExactly) {
 
   std::vector<exp::CampaignLeg> legs;
   for (const auto& grid : grids) legs.push_back(plain_leg(grid));
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{8}}) {
     SCOPED_TRACE(threads);
     exp::CampaignConfig mcc;
     mcc.threads = threads;
@@ -433,8 +461,8 @@ TEST(Campaign, MultiLegResumeIsBitIdentical) {
 
 TEST(Campaign, MultiLegExceptionIsRethrownAfterDrain) {
   // An item no World accepts (scenario 99) makes its leg throw; the runner
-  // stops the chunks not yet started in every leg and rethrows the
-  // original exception once the pool has drained.
+  // stops the items not yet claimed in every leg and rethrows the original
+  // exception once the workers have joined.
   auto grids = multi_leg_grids();
   grids[1][2].scenario_id = 99;
   std::vector<exp::CampaignLeg> legs;

@@ -174,6 +174,11 @@ TEST(Realtime, AggregatesMatchFreeRunning) {
   expect_summary_identical(baseline, report.summary);
   EXPECT_EQ(report.ticks, 200u);
   ASSERT_EQ(report.phases.size(), 5u);
+  // The labels name the World phase each one times, in step order.
+  const char* const labels[] = {"tick", "traffic", "project_sweep", "ego",
+                                "monitor"};
+  for (std::size_t p = 0; p < report.phases.size(); ++p)
+    EXPECT_EQ(report.phases[p].name, labels[p]) << p;
   for (const exp::PhaseStats& phase : report.phases) {
     EXPECT_EQ(phase.latency_s.count(), report.ticks);
     EXPECT_EQ(phase.hist_us.total(), report.ticks);
