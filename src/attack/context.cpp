@@ -3,7 +3,11 @@
 namespace scaa::attack {
 
 ContextInference::ContextInference(msg::PubSubBus& bus, double half_width)
-    : gps_(bus), model_(bus), radar_(bus), half_width_(half_width) {}
+    : gps_(bus),
+      model_(bus),
+      radar_(bus),
+      car_(bus),
+      half_width_(half_width) {}
 
 SafetyContext ContextInference::infer(double time) const noexcept {
   SafetyContext ctx;
@@ -28,6 +32,11 @@ SafetyContext ContextInference::infer(double time) const noexcept {
       ctx.d_left = m.left_lane_line - half_width_;
       ctx.d_right = -m.right_lane_line - half_width_;
     }
+  }
+
+  if (car_.valid()) {
+    ctx.cruise_enabled = car_.value().cruise_enabled;
+    ctx.cruise_speed = car_.value().cruise_speed;
   }
   return ctx;
 }

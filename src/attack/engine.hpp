@@ -3,8 +3,21 @@
 /// @file engine.hpp
 /// The attack engine: eavesdrop -> infer context -> select activation ->
 /// corrupt values -> rewrite CAN frames (paper Fig. 1 and §III-C).
-
-#include <memory>
+///
+/// Everything the attacker knows, and where it comes from:
+///  * eavesdropped each cycle from the unauthenticated pub/sub bus:
+///    `gpsLocationExternal` (ego speed), `modelV2` (lane lines),
+///    `radarState` (lead gap and relative speed) and `carState` (whether
+///    the ADAS is engaged — the driver-takeover stop rule — and its set
+///    speed, the Eq. 1 ceiling);
+///  * reconnaissance the paper grants: the DBC (signal layouts of the
+///    command frames), the target car's `half_width` (spec sheet), the
+///    Table I thresholds (AttackConfig::table) and the Table III timing
+///    constants (Strategy);
+///  * experiment control: Fig. 8's forced window
+///    (AttackConfig::strategy_params).
+/// Its only output is the rewritten CAN command frames. It reads no
+/// simulator state and is told nothing by the World.
 
 #include "attack/can_attacker.hpp"
 #include "attack/context.hpp"
@@ -20,8 +33,7 @@ struct AttackConfig {
   AttackType type = AttackType::kAcceleration;
   bool strategic_values = true;   ///< Eq. 1-3 corruption vs. fixed maxima
   ContextTableParams table;       ///< Table I thresholds
-  StrategyParams strategy_params; ///< Table III timing parameters
-  double cruise_speed = 26.82;    ///< [m/s] eavesdropped/recon set speed
+  StrategyParams strategy_params; ///< Fig. 8's forced window
 };
 
 /// Per-simulation attack statistics.
@@ -36,16 +48,16 @@ struct AttackStats {
 class AttackEngine {
  public:
   /// Wires the eavesdropper into @p msg_bus and the corruptor into
-  /// @p can_bus. @p half_width is the target vehicle's half body width
-  /// (public spec data used for lane-edge distance inference).
+  /// @p can_bus, then reset()s. @p half_width is the target vehicle's half
+  /// body width (public spec data used for lane-edge distance inference).
   AttackEngine(const AttackConfig& config, msg::PubSubBus& msg_bus,
                can::CanBus& can_bus, const can::Database& db,
                double half_width, util::Rng rng);
 
-  /// Re-arm for a new simulation on the same buses and database,
-  /// bit-identical to fresh construction: the eavesdropped latches clear
-  /// (subscriptions stay attached), the strategy is re-drawn from @p rng
-  /// in place, and all counters zero. Allocation-free.
+  /// Arm for a new simulation on the same buses and database: the
+  /// eavesdropped latches clear (subscriptions stay attached), the
+  /// strategy is re-drawn from @p rng, and all counters zero.
+  /// Allocation-free.
   void reset(const AttackConfig& config, double half_width, util::Rng rng);
 
   /// Run one cycle at simulation @p time; must be called after sensors
@@ -53,19 +65,14 @@ class AttackEngine {
   /// (the interceptor state persists until changed).
   void step(double time, double dt);
 
-  /// The paper's stop rule: the engine halts injection once the driver
-  /// physically takes over.
-  void notify_driver_engaged(double time) noexcept;
-
   /// Statistics for the metrics layer.
   AttackStats stats() const noexcept;
-  const ContextTable& table() const noexcept { return table_; }
 
  private:
-  AttackConfig config_;
+  AttackType type_ = AttackType::kAcceleration;
   ContextInference inference_;
   ContextTable table_;
-  StrategyBox strategy_;  ///< placement-constructed: reset() never allocates
+  Strategy strategy_;
   ValueCorruption corruption_;
   CanAttacker attacker_;
   std::uint64_t cycles_active_ = 0;

@@ -1,8 +1,5 @@
 #include "attack/strategies.hpp"
 
-#include <algorithm>
-#include <new>
-
 namespace scaa::attack {
 
 std::string to_string(AttackType type) {
@@ -40,14 +37,14 @@ AttackChannels channels_of(AttackType type) noexcept {
   return {};
 }
 
-ActivationDecision AttackStrategy::finalize(ActivationDecision decision,
-                                            double time) noexcept {
-  if (driver_engaged_) decision = {};  // attack stops on driver engagement
-  if (decision.active && first_activation_ < 0.0) first_activation_ = time;
-  return decision;
-}
-
 namespace {
+
+// Table III timing [s].
+constexpr double kMinStart = 5.0;  ///< also the context starts' warm-up
+constexpr double kMaxStart = 40.0;
+constexpr double kMinDuration = 0.5;
+constexpr double kMaxDuration = 2.5;
+constexpr double kFixedDuration = 2.5;  ///< Random-ST: driver reaction time
 
 /// Fixed steering direction of pure steering types; 0 for combined types
 /// (their direction is decided at activation).
@@ -105,190 +102,59 @@ ActivationDecision context_trigger(AttackType type,
   return d;
 }
 
-/// Random-ST+DUR and Random-ST: a fixed window drawn up front.
-class RandomWindowStrategy final : public AttackStrategy {
- public:
-  RandomWindowStrategy(const StrategyParams& params, util::Rng rng,
-                       bool random_duration)
-      : type_(params.type) {
-    start_ = params.forced_start >= 0.0
-                 ? params.forced_start
-                 : rng.uniform(params.min_start, params.max_start);
-    duration_ = params.forced_duration >= 0.0
-                    ? params.forced_duration
-                : random_duration
-                    ? rng.uniform(params.min_duration, params.max_duration)
-                    : params.fixed_duration;
-    direction_ = fixed_direction(type_);
-    if (direction_ == 0) direction_ = rng.bernoulli(0.5) ? 1 : -1;
-  }
-
-  ActivationDecision decide(const SafetyContext&, const ContextMatch&,
-                            double time) override {
-    ActivationDecision d;
-    d.active = time >= start_ && time < start_ + duration_;
-    d.steer_direction = channels_of(type_).steer ? direction_ : 0;
-    return finalize(d, time);
-  }
-
- private:
-  AttackType type_;
-  double start_ = 0.0;
-  double duration_ = 0.0;
-  int direction_ = 0;
-};
-
-/// Random-DUR: starts at the first context match, runs a random duration.
-class RandomDurationStrategy final : public AttackStrategy {
- public:
-  RandomDurationStrategy(const StrategyParams& params, util::Rng rng)
-      : type_(params.type),
-        min_start_(params.min_start),
-        duration_(rng.uniform(params.min_duration, params.max_duration)) {}
-
-  ActivationDecision decide(const SafetyContext& ctx,
-                            const ContextMatch& match, double time) override {
-    // The attacker sits out the startup transient (same lower bound the
-    // random strategies use for their windows).
-    if (!triggered_ && time >= min_start_) {
-      const ActivationDecision d = context_trigger(type_, ctx, match);
-      if (d.active) {
-        triggered_ = true;
-        trigger_time_ = time;
-        direction_ = d.steer_direction;
-      }
-    }
-    ActivationDecision out;
-    if (triggered_ && time < trigger_time_ + duration_) {
-      out.active = true;
-      out.steer_direction = direction_;
-    }
-    return finalize(out, time);
-  }
-
- private:
-  AttackType type_;
-  double min_start_ = 5.0;
-  double duration_;
-  bool triggered_ = false;
-  double trigger_time_ = 0.0;
-  int direction_ = 0;
-};
-
-/// Context-Aware: starts at the first context match and latches — the
-/// duration is "as long as it takes", ended only by driver engagement (the
-/// engine's stop rule) or the end of the scenario. The latch reflects that
-/// once the system is being driven toward the hazard the enabling context
-/// keeps holding (closing gap keeps HWT shrinking, a crossed lane edge
-/// keeps d_edge <= 0.1 m, braking keeps RS <= 0).
-class ContextAwareStrategy final : public AttackStrategy {
- public:
-  explicit ContextAwareStrategy(const StrategyParams& params)
-      : type_(params.type), min_start_(params.min_start) {}
-
-  ActivationDecision decide(const SafetyContext& ctx,
-                            const ContextMatch& match, double time) override {
-    if (!triggered_ && time >= min_start_) {
-      const ActivationDecision d = context_trigger(type_, ctx, match);
-      if (d.active) {
-        triggered_ = true;
-        direction_ = d.steer_direction;
-      }
-    }
-    ActivationDecision out;
-    if (triggered_) {
-      out.active = true;
-      out.steer_direction = direction_;
-    }
-    return finalize(out, time);
-  }
-
- private:
-  AttackType type_;
-  double min_start_ = 5.0;
-  bool triggered_ = false;
-  int direction_ = 0;
-};
-
-/// No attack at all (baseline row of Table IV).
-class NullStrategy final : public AttackStrategy {
- public:
-  ActivationDecision decide(const SafetyContext&, const ContextMatch&,
-                            double) override {
-    return {};
-  }
-};
-
 }  // namespace
 
-std::unique_ptr<AttackStrategy> make_strategy(StrategyKind kind,
-                                              const StrategyParams& params,
-                                              util::Rng rng) {
+Strategy::Strategy(StrategyKind kind, AttackType type,
+                   const StrategyParams& params, util::Rng rng)
+    : type_(type) {
+  // The draw order below is part of the seeded contract.
   switch (kind) {
     case StrategyKind::kNone:
-      return std::make_unique<NullStrategy>();
-    case StrategyKind::kRandomStDur:
-      return std::make_unique<RandomWindowStrategy>(params, rng, true);
-    case StrategyKind::kRandomSt:
-      return std::make_unique<RandomWindowStrategy>(params, rng, false);
-    case StrategyKind::kRandomDur:
-      return std::make_unique<RandomDurationStrategy>(params, rng);
-    case StrategyKind::kContextAware:
-      return std::make_unique<ContextAwareStrategy>(params);
-  }
-  return std::make_unique<NullStrategy>();
-}
-
-StrategyBox::StrategyBox(StrategyKind kind, const StrategyParams& params,
-                         util::Rng rng) {
-  emplace(kind, params, rng);
-}
-
-StrategyBox::~StrategyBox() {
-  if (ptr_) ptr_->~AttackStrategy();
-}
-
-void StrategyBox::emplace(StrategyKind kind, const StrategyParams& params,
-                          util::Rng rng) {
-  static_assert(sizeof(RandomWindowStrategy) <= kStorageBytes &&
-                    alignof(RandomWindowStrategy) <= alignof(std::max_align_t),
-                "StrategyBox storage too small for RandomWindowStrategy");
-  static_assert(sizeof(RandomDurationStrategy) <= kStorageBytes &&
-                    alignof(RandomDurationStrategy) <=
-                        alignof(std::max_align_t),
-                "StrategyBox storage too small for RandomDurationStrategy");
-  static_assert(sizeof(ContextAwareStrategy) <= kStorageBytes &&
-                    alignof(ContextAwareStrategy) <= alignof(std::max_align_t),
-                "StrategyBox storage too small for ContextAwareStrategy");
-  static_assert(sizeof(NullStrategy) <= kStorageBytes &&
-                    alignof(NullStrategy) <= alignof(std::max_align_t),
-                "StrategyBox storage too small for NullStrategy");
-
-  if (ptr_) {
-    ptr_->~AttackStrategy();
-    ptr_ = nullptr;
-  }
-  // Mirror make_strategy() case for case: same constructions, same RNG
-  // draw order, so boxed and factory-made strategies behave identically.
-  void* const buf = static_cast<void*>(storage_);
-  switch (kind) {
-    case StrategyKind::kNone:
-      ptr_ = ::new (buf) NullStrategy();
       return;
     case StrategyKind::kRandomStDur:
-      ptr_ = ::new (buf) RandomWindowStrategy(params, rng, true);
-      return;
     case StrategyKind::kRandomSt:
-      ptr_ = ::new (buf) RandomWindowStrategy(params, rng, false);
+      start_ = params.forced_start >= 0.0
+                   ? params.forced_start
+                   : rng.uniform(kMinStart, kMaxStart);
+      duration_ = params.forced_duration >= 0.0 ? params.forced_duration
+                  : kind == StrategyKind::kRandomStDur
+                      ? rng.uniform(kMinDuration, kMaxDuration)
+                      : kFixedDuration;
+      direction_ = fixed_direction(type);
+      if (direction_ == 0) direction_ = rng.bernoulli(0.5) ? 1 : -1;
       return;
     case StrategyKind::kRandomDur:
-      ptr_ = ::new (buf) RandomDurationStrategy(params, rng);
+      context_start_ = true;
+      duration_ = rng.uniform(kMinDuration, kMaxDuration);
       return;
     case StrategyKind::kContextAware:
-      ptr_ = ::new (buf) ContextAwareStrategy(params);
+      // Latches: once the system is being driven toward the hazard the
+      // enabling context keeps holding (closing gap keeps HWT shrinking, a
+      // crossed lane edge keeps d_edge <= 0.1 m, braking keeps RS <= 0), so
+      // only the driver's takeover or the end of the scenario ends it.
+      context_start_ = true;
+      duration_ = kNever;
       return;
   }
-  ptr_ = ::new (buf) NullStrategy();
+}
+
+ActivationDecision Strategy::decide(const SafetyContext& ctx,
+                                    const ContextMatch& match,
+                                    double time) noexcept {
+  if (!ctx.cruise_enabled) stopped_ = true;
+  if (stopped_) return {};
+  // Context starts sit out the startup transient (the same lower bound
+  // the random windows use).
+  if (context_start_ && start_ == kNever && time >= kMinStart) {
+    const ActivationDecision d = context_trigger(type_, ctx, match);
+    if (d.active) {
+      start_ = time;
+      direction_ = d.steer_direction;
+    }
+  }
+  if (!(time >= start_ && time < start_ + duration_)) return {};
+  if (first_activation_ < 0.0) first_activation_ = time;
+  return {true, channels_of(type_).steer ? direction_ : 0};
 }
 
 }  // namespace scaa::attack

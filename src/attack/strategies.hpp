@@ -3,9 +3,8 @@
 /// @file strategies.hpp
 /// Attack types (paper Table II) and activation strategies (Table III).
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <limits>
 #include <string>
 
 #include "attack/context_table.hpp"
@@ -58,84 +57,53 @@ struct ActivationDecision {
   int steer_direction = 0;  ///< +1 left, -1 right, 0 unused
 };
 
-/// Strategy interface: decides, every control cycle, whether the attack is
-/// live. Strategies never choose values — that is the corruption stage.
-class AttackStrategy {
+/// The one strategy knob an experiment sets: when >= 0, the window
+/// strategies (Random-ST+DUR, Random-ST) use these instead of random
+/// draws — the hook the Fig. 8 parameter-space sweep uses to place grid
+/// points. Every other Table III timing value is a constant of Strategy.
+struct StrategyParams {
+  double forced_start = -1.0;     ///< [s]
+  double forced_duration = -1.0;  ///< [s]
+};
+
+/// An activation strategy of Table III: decides, every control cycle,
+/// whether the attack is live. It never chooses values — that is the
+/// corruption stage. A plain copyable value made of a start rule and a
+/// duration:
+///  * start: a window start drawn uniformly from 5-40 s (or forced), or
+///    the first context match at or after 5 s;
+///  * duration: drawn uniformly from 0.5-2.5 s, a fixed 2.5 s (the driver
+///    reaction time), or unbounded for Context-Aware.
+/// The attack stops for good once the eavesdropped carState reports the
+/// ADAS disengaged (SafetyContext::cruise_enabled false): the driver has
+/// taken over.
+class Strategy {
  public:
-  virtual ~AttackStrategy() = default;
+  /// No attack (the Table IV baseline): never active.
+  Strategy() = default;
+
+  /// Strategy @p kind attacking with @p type; @p rng seeds this
+  /// simulation's draws (start time, duration, steering direction).
+  Strategy(StrategyKind kind, AttackType type, const StrategyParams& params,
+           util::Rng rng);
 
   /// Decide for the current cycle.
-  virtual ActivationDecision decide(const SafetyContext& ctx,
-                                    const ContextMatch& match,
-                                    double time) = 0;
-
-  /// The paper's attack engine stops as soon as the driver engages.
-  void notify_driver_engaged(double time) noexcept {
-    driver_engaged_ = true;
-    driver_engage_time_ = time;
-  }
+  ActivationDecision decide(const SafetyContext& ctx,
+                            const ContextMatch& match, double time) noexcept;
 
   /// First time the attack went active; negative when never.
   double first_activation() const noexcept { return first_activation_; }
 
- protected:
-  /// Record and gate a raw decision through the driver-engaged stop rule.
-  ActivationDecision finalize(ActivationDecision decision, double time) noexcept;
-
-  bool driver_engaged_ = false;
-  double driver_engage_time_ = -1.0;
-  double first_activation_ = -1.0;
-};
-
-/// Shared construction parameters.
-struct StrategyParams {
-  AttackType type = AttackType::kAcceleration;
-  double min_start = 5.0;    ///< [s] Random-ST window lower bound
-  double max_start = 40.0;   ///< [s] Random-ST window upper bound
-  double min_duration = 0.5; ///< [s] Random-DUR bounds
-  double max_duration = 2.5;
-  double fixed_duration = 2.5;  ///< [s] Random-ST's duration (driver reaction time)
-
-  /// When >= 0, window strategies use these instead of random draws —
-  /// the hook the Fig. 8 parameter-space sweep uses to place grid points.
-  double forced_start = -1.0;
-  double forced_duration = -1.0;
-};
-
-/// Factory: build a strategy of @p kind. @p rng seeds the random draws
-/// (start time / duration / steering direction) for this simulation.
-std::unique_ptr<AttackStrategy> make_strategy(StrategyKind kind,
-                                              const StrategyParams& params,
-                                              util::Rng rng);
-
-/// Fixed-capacity, heap-free holder for any strategy the factory can
-/// build. The attack engine re-seeds its strategy on every World::reset —
-/// thousands of times per campaign worker — so the concrete strategy is
-/// placement-constructed into an inline buffer instead of the heap,
-/// keeping whole-simulation allocation counts at zero. Construction and
-/// draw order replicate make_strategy() exactly, so a boxed strategy is
-/// bit-identical in behavior to a factory-made one.
-class StrategyBox {
- public:
-  StrategyBox(StrategyKind kind, const StrategyParams& params, util::Rng rng);
-  ~StrategyBox();
-  StrategyBox(const StrategyBox&) = delete;
-  StrategyBox& operator=(const StrategyBox&) = delete;
-
-  /// Destroy the held strategy and build a new one in place.
-  void emplace(StrategyKind kind, const StrategyParams& params, util::Rng rng);
-
-  AttackStrategy& operator*() noexcept { return *ptr_; }
-  AttackStrategy* operator->() noexcept { return ptr_; }
-  const AttackStrategy& operator*() const noexcept { return *ptr_; }
-  const AttackStrategy* operator->() const noexcept { return ptr_; }
-
  private:
-  /// Large enough for the biggest concrete strategy; emplace()
-  /// static_asserts the real sizes where the types are visible.
-  static constexpr std::size_t kStorageBytes = 128;
-  alignas(alignof(std::max_align_t)) unsigned char storage_[kStorageBytes];
-  AttackStrategy* ptr_ = nullptr;
+  static constexpr double kNever = std::numeric_limits<double>::infinity();
+
+  AttackType type_ = AttackType::kAcceleration;
+  bool context_start_ = false;  ///< start at the first context match
+  double start_ = kNever;       ///< window start or trigger time [s]
+  double duration_ = 0.0;       ///< [s]
+  int direction_ = 0;           ///< steering direction while active
+  bool stopped_ = false;        ///< the driver took over
+  double first_activation_ = -1.0;
 };
 
 }  // namespace scaa::attack

@@ -6,17 +6,14 @@
 
 namespace scaa::attack {
 
-ValueCorruption::ValueCorruption(bool strategic, CorruptionLimits limits,
-                                 double cruise_speed,
-                                 double kalman_gain) noexcept
+ValueCorruption::ValueCorruption(bool strategic) noexcept
     : strategic_(strategic),
-      limits_(limits),
-      cruise_speed_(cruise_speed),
-      speed_kf_(kalman_gain) {}
+      limits_(strategic ? CorruptionLimits::strategic()
+                        : CorruptionLimits::fixed()) {}
 
 AttackValues ValueCorruption::compute(const ActivationDecision& decision,
                                       AttackType type, double measured_speed,
-                                      double dt) noexcept {
+                                      double cruise_speed, double dt) noexcept {
   AttackValues values;
 
   // Maintain the speed prediction every cycle, active or not, so the
@@ -39,7 +36,7 @@ AttackValues ValueCorruption::compute(const ActivationDecision& decision,
     if (strategic_) {
       // Eq. 1 speed constraint: v̂_{t+1} = v̂_t + a*dt <= 1.1 * v_cruise.
       const double headroom =
-          (1.1 * cruise_speed_ - speed_kf_.estimate()) / dt;
+          (1.1 * cruise_speed - speed_kf_.estimate()) / dt;
       accel = math::clamp(headroom, 0.0, limits_.accel);
     }
     values.accel_cmd = accel;

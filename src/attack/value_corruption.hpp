@@ -52,31 +52,29 @@ struct CorruptionLimits {
 /// Computes per-cycle corruption values for an active attack.
 class ValueCorruption {
  public:
-  /// @p strategic enables Eq. 1-3 dynamic value selection;
-  /// @p cruise_speed is the eavesdropped set speed [m/s];
-  /// @p kalman_gain is K_t of Eq. 3.
-  ValueCorruption(bool strategic, CorruptionLimits limits,
-                  double cruise_speed, double kalman_gain = 0.5) noexcept;
+  /// @p strategic enables Eq. 1-3 dynamic value selection within
+  /// CorruptionLimits::strategic(); otherwise the fixed() maxima apply.
+  explicit ValueCorruption(bool strategic = false) noexcept;
 
   /// Compute the values for this cycle.
   /// @p decision   strategy output (channels + steering direction)
   /// @p type       the attack type (selects channels)
   /// @p measured_speed the eavesdropped ego speed [m/s]
+  /// @p cruise_speed   the eavesdropped set speed [m/s]
   /// @p dt         control period [s]
   AttackValues compute(const ActivationDecision& decision, AttackType type,
-                       double measured_speed, double dt) noexcept;
+                       double measured_speed, double cruise_speed,
+                       double dt) noexcept;
 
   /// Current speed estimate of the attacker's Kalman filter.
   double predicted_speed() const noexcept { return speed_kf_.estimate(); }
 
-  bool strategic() const noexcept { return strategic_; }
-  const CorruptionLimits& limits() const noexcept { return limits_; }
-
  private:
+  static constexpr double kKalmanGain = 0.5;  ///< K_t of Eq. 3
+
   bool strategic_;
   CorruptionLimits limits_;
-  double cruise_speed_;
-  adas::ConstantGainKalman speed_kf_;
+  adas::ConstantGainKalman speed_kf_{kKalmanGain};
   double last_accel_cmd_ = 0.0;
   bool kf_initialized_ = false;
 };

@@ -74,12 +74,6 @@ bool parse_u32(std::string_view text, std::uint32_t& out) noexcept {
 
 }  // namespace
 
-const char* fault_kind_name(FaultKind kind) noexcept {
-  for (const auto& entry : kKindNames)
-    if (entry.kind == kind) return entry.name;
-  return "unknown";
-}
-
 bool parse_fault_kind(std::string_view text, FaultKind& out) noexcept {
   for (const auto& entry : kKindNames) {
     if (text == entry.name) {

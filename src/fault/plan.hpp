@@ -38,10 +38,6 @@ enum class FaultKind : std::uint8_t {
 /// Number of fault kinds (size of the per-kind counter arrays).
 inline constexpr std::size_t kFaultKindCount = 8;
 
-/// Stable lowercase token for @p kind ("can_drop", ...), as used in plan
-/// files and report rows. Static storage, never dangles.
-const char* fault_kind_name(FaultKind kind) noexcept;
-
 /// Parse a plan-file kind token; returns false on an unknown token.
 bool parse_fault_kind(std::string_view text, FaultKind& out) noexcept;
 

@@ -14,8 +14,6 @@ Vec2 Vec2::rotated(double angle) const noexcept {
   return {x * c - y * s, x * s + y * c};
 }
 
-double distance(Vec2 a, Vec2 b) noexcept { return (a - b).norm(); }
-
 Vec2 heading_vector(double theta) noexcept {
   return {std::cos(theta), std::sin(theta)};
 }

@@ -46,9 +46,6 @@ struct Vec2 {
 
 constexpr Vec2 operator*(double k, Vec2 v) noexcept { return v * k; }
 
-/// Distance between two points.
-double distance(Vec2 a, Vec2 b) noexcept;
-
 /// Unit vector at heading @p theta (radians, CCW from +x).
 Vec2 heading_vector(double theta) noexcept;
 

@@ -134,7 +134,7 @@ World::World(WorldConfig config)
   // Always attached: with the attack disabled the engine never steps and
   // its interceptor passes every frame through untouched.
   attack_engine_ = std::make_unique<attack::AttackEngine>(
-      active_attack_config(), msg_bus_, can_bus_, db,
+      config_.attack, msg_bus_, can_bus_, db,
       config_.ego_params.half_width(), util::Rng(0));
 
   // --- optional Panda firmware enforcement --------------------------------
@@ -163,12 +163,6 @@ World::World(WorldConfig config)
 }
 
 World::~World() = default;
-
-attack::AttackConfig World::active_attack_config() const {
-  attack::AttackConfig atk = config_.attack;
-  atk.cruise_speed = config_.scenario.cruise_speed;
-  return atk;
-}
 
 void World::reset(const WorldConfig& config) {
   if (config.db && config.db != db_) {
@@ -245,8 +239,8 @@ void World::reset_in_place() {
   camera_lane_ = 0;
 
   // --- attack engine & Panda ---------------------------------------------
-  attack_engine_->reset(active_attack_config(),
-                        config_.ego_params.half_width(), rng.fork(14));
+  attack_engine_->reset(config_.attack, config_.ego_params.half_width(),
+                        rng.fork(14));
   if (panda_) panda_->reset();
 
   // --- ADAS ---------------------------------------------------------------
@@ -427,7 +421,7 @@ void World::mid_tick() {
 
   if (driver_->engaged() && !driver_was_engaged_) {
     driver_was_engaged_ = true;
-    if (config_.attack_enabled) attack_engine_->notify_driver_engaged(time_);
+    // The attacker learns of the takeover from the next carState.
     controls_->set_engaged(false);
   }
 

@@ -207,10 +207,6 @@ class World {
   /// worlds are bit-identical because both end in this exact code path.
   void reset_in_place();
 
-  /// The attack config as the engine consumes it (cruise speed synced to
-  /// the scenario).
-  attack::AttackConfig active_attack_config() const;
-
   WorldConfig config_;
   std::shared_ptr<const road::Road> road_;  ///< shared or privately owned
   std::shared_ptr<const can::Database> db_;

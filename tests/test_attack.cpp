@@ -70,6 +70,25 @@ TEST(ContextInference, InvalidWithoutMessages) {
   EXPECT_GT(ctx.hwt, 1e8);
 }
 
+TEST(ContextInference, ReadsCruiseStateAndResetClearsIt) {
+  msg::PubSubBus bus;
+  attack::ContextInference inf(bus, 0.9);
+  // Before any carState the ADAS counts as engaged, set speed unknown.
+  EXPECT_TRUE(inf.infer(0.0).cruise_enabled);
+  EXPECT_DOUBLE_EQ(inf.infer(0.0).cruise_speed, 0.0);
+
+  msg::CarState cs;
+  cs.cruise_enabled = false;
+  cs.cruise_speed = 26.8224;
+  bus.publish(cs);
+  EXPECT_FALSE(inf.infer(1.0).cruise_enabled);
+  EXPECT_DOUBLE_EQ(inf.infer(1.0).cruise_speed, 26.8224);
+
+  inf.reset(0.9);
+  EXPECT_TRUE(inf.infer(2.0).cruise_enabled);
+  EXPECT_DOUBLE_EQ(inf.infer(2.0).cruise_speed, 0.0);
+}
+
 TEST(ContextTable, Rule1Acceleration) {
   const attack::ContextTable table{attack::ContextTableParams{}};
   auto ctx = base_context();
@@ -136,23 +155,21 @@ TEST(Channels, MapMatchesTable2) {
   EXPECT_TRUE(channels_of(AttackType::kDecelerationSteering).steer);
 }
 
-attack::StrategyParams params_for(attack::AttackType type) {
-  attack::StrategyParams p;
-  p.type = type;
-  return p;
+attack::Strategy make(attack::StrategyKind kind, attack::AttackType type,
+                      std::uint64_t seed,
+                      const attack::StrategyParams& params = {}) {
+  return attack::Strategy(kind, type, params, util::Rng(seed));
 }
 
 TEST(Strategies, RandomWindowRespectsBounds) {
   for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    auto strategy =
-        make_strategy(attack::StrategyKind::kRandomStDur,
-                      params_for(attack::AttackType::kAcceleration),
-                      util::Rng(seed));
+    auto strategy = make(attack::StrategyKind::kRandomStDur,
+                         attack::AttackType::kAcceleration, seed);
     const auto ctx = base_context();
     const attack::ContextMatch match{};
     double first_active = -1.0, last_active = -1.0;
     for (double t = 0.0; t < 50.0; t += 0.01) {
-      if (strategy->decide(ctx, match, t).active) {
+      if (strategy.decide(ctx, match, t).active) {
         if (first_active < 0.0) first_active = t;
         last_active = t;
       }
@@ -166,14 +183,13 @@ TEST(Strategies, RandomWindowRespectsBounds) {
 }
 
 TEST(Strategies, RandomStFixedDuration) {
-  auto strategy = make_strategy(attack::StrategyKind::kRandomSt,
-                                params_for(attack::AttackType::kDeceleration),
-                                util::Rng(7));
+  auto strategy = make(attack::StrategyKind::kRandomSt,
+                       attack::AttackType::kDeceleration, 7);
   const auto ctx = base_context();
   const attack::ContextMatch match{};
   double first = -1.0, last = -1.0;
   for (double t = 0.0; t < 50.0; t += 0.01) {
-    if (strategy->decide(ctx, match, t).active) {
+    if (strategy.decide(ctx, match, t).active) {
       if (first < 0.0) first = t;
       last = t;
     }
@@ -182,88 +198,129 @@ TEST(Strategies, RandomStFixedDuration) {
 }
 
 TEST(Strategies, ForcedWindowHonored) {
-  auto p = params_for(attack::AttackType::kAcceleration);
+  attack::StrategyParams p;
   p.forced_start = 12.0;
   p.forced_duration = 1.5;
-  auto strategy = make_strategy(attack::StrategyKind::kRandomStDur, p,
-                                util::Rng(3));
+  auto strategy = make(attack::StrategyKind::kRandomStDur,
+                       attack::AttackType::kAcceleration, 3, p);
   const auto ctx = base_context();
   const attack::ContextMatch match{};
-  EXPECT_FALSE(strategy->decide(ctx, match, 11.99).active);
-  EXPECT_TRUE(strategy->decide(ctx, match, 12.01).active);
-  EXPECT_TRUE(strategy->decide(ctx, match, 13.49).active);
-  EXPECT_FALSE(strategy->decide(ctx, match, 13.51).active);
+  EXPECT_FALSE(strategy.decide(ctx, match, 11.99).active);
+  EXPECT_TRUE(strategy.decide(ctx, match, 12.01).active);
+  EXPECT_TRUE(strategy.decide(ctx, match, 13.49).active);
+  EXPECT_FALSE(strategy.decide(ctx, match, 13.51).active);
+}
+
+TEST(Strategies, NoneNeverActivates) {
+  attack::ContextTable table{attack::ContextTableParams{}};
+  attack::Strategy strategy;
+  auto ctx = base_context();
+  ctx.hwt = 2.0;
+  ctx.rel_speed = 5.0;  // rule 1 matched
+  for (double t = 0.0; t < 50.0; t += 0.5)
+    EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), t).active);
+  EXPECT_LT(strategy.first_activation(), 0.0);
 }
 
 TEST(Strategies, ContextAwareWaitsForContext) {
   attack::ContextTable table{attack::ContextTableParams{}};
-  auto strategy = make_strategy(attack::StrategyKind::kContextAware,
-                                params_for(attack::AttackType::kAcceleration),
-                                util::Rng(3));
+  auto strategy = make(attack::StrategyKind::kContextAware,
+                       attack::AttackType::kAcceleration, 3);
   auto ctx = base_context();  // rule 1 not matched (hwt 3.5)
-  EXPECT_FALSE(strategy->decide(ctx, table.match(ctx), 10.0).active);
+  EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), 10.0).active);
   ctx.hwt = 2.0;
   ctx.rel_speed = 5.0;  // now matched
-  EXPECT_TRUE(strategy->decide(ctx, table.match(ctx), 10.01).active);
+  EXPECT_TRUE(strategy.decide(ctx, table.match(ctx), 10.01).active);
   // Latched even after the context clears.
   ctx.hwt = 3.5;
-  EXPECT_TRUE(strategy->decide(ctx, table.match(ctx), 10.02).active);
-  EXPECT_NEAR(strategy->first_activation(), 10.01, 1e-9);
+  EXPECT_TRUE(strategy.decide(ctx, table.match(ctx), 10.02).active);
+  EXPECT_NEAR(strategy.first_activation(), 10.01, 1e-9);
 }
 
 TEST(Strategies, ContextAwareRespectsWarmup) {
   attack::ContextTable table{attack::ContextTableParams{}};
-  auto strategy = make_strategy(attack::StrategyKind::kContextAware,
-                                params_for(attack::AttackType::kAcceleration),
-                                util::Rng(3));
+  auto strategy = make(attack::StrategyKind::kContextAware,
+                       attack::AttackType::kAcceleration, 3);
   auto ctx = base_context();
   ctx.hwt = 2.0;
   ctx.rel_speed = 5.0;
-  EXPECT_FALSE(strategy->decide(ctx, table.match(ctx), 3.0).active);
-  EXPECT_TRUE(strategy->decide(ctx, table.match(ctx), 5.5).active);
+  EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), 3.0).active);
+  EXPECT_TRUE(strategy.decide(ctx, table.match(ctx), 5.5).active);
+}
+
+TEST(Strategies, RandomDurStartsOnContextAndEnds) {
+  attack::ContextTable table{attack::ContextTableParams{}};
+  auto strategy = make(attack::StrategyKind::kRandomDur,
+                       attack::AttackType::kAcceleration, 5);
+  auto ctx = base_context();
+  ctx.hwt = 2.0;
+  ctx.rel_speed = 5.0;
+  double first = -1.0, last = -1.0;
+  for (double t = 10.0; t < 20.0; t += 0.01) {
+    if (strategy.decide(ctx, table.match(ctx), t).active) {
+      if (first < 0.0) first = t;
+      last = t;
+    }
+  }
+  EXPECT_NEAR(first, 10.0, 1e-9);
+  EXPECT_GE(last - first, 0.45);
+  EXPECT_LE(last - first, 2.55);
 }
 
 TEST(Strategies, StopsOnDriverEngagement) {
+  // The attacker learns of the takeover only from the wire: the ADAS
+  // reports itself disengaged in the carState it publishes.
+  msg::PubSubBus bus;
+  attack::ContextInference spy(bus, 0.9);
   attack::ContextTable table{attack::ContextTableParams{}};
-  auto strategy = make_strategy(attack::StrategyKind::kContextAware,
-                                params_for(attack::AttackType::kAcceleration),
-                                util::Rng(3));
+  auto strategy = make(attack::StrategyKind::kContextAware,
+                       attack::AttackType::kAcceleration, 3);
   auto ctx = base_context();
   ctx.hwt = 2.0;
   ctx.rel_speed = 5.0;
-  EXPECT_TRUE(strategy->decide(ctx, table.match(ctx), 10.0).active);
-  strategy->notify_driver_engaged(11.0);
-  EXPECT_FALSE(strategy->decide(ctx, table.match(ctx), 11.01).active);
+  msg::CarState cs;
+  cs.cruise_enabled = true;
+  bus.publish(cs);
+  ctx.cruise_enabled = spy.infer(10.0).cruise_enabled;
+  EXPECT_TRUE(strategy.decide(ctx, table.match(ctx), 10.0).active);
+
+  cs.cruise_enabled = false;  // the driver took over
+  bus.publish(cs);
+  ctx.cruise_enabled = spy.infer(11.01).cruise_enabled;
+  EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), 11.01).active);
+  // The stop holds even if a later carState read engaged again.
+  ctx.cruise_enabled = true;
+  EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), 11.02).active);
+  EXPECT_NEAR(strategy.first_activation(), 10.0, 1e-9);
 }
 
 TEST(Strategies, SteeringDirectionFollowsContext) {
   attack::ContextTable table{attack::ContextTableParams{}};
-  auto strategy = make_strategy(attack::StrategyKind::kContextAware,
-                                params_for(attack::AttackType::kSteeringRight),
-                                util::Rng(3));
+  auto strategy = make(attack::StrategyKind::kContextAware,
+                       attack::AttackType::kSteeringRight, 3);
   auto ctx = base_context();
   ctx.d_left = 0.05;  // LEFT edge context does not trigger a RIGHT attack
-  EXPECT_FALSE(strategy->decide(ctx, table.match(ctx), 10.0).active);
+  EXPECT_FALSE(strategy.decide(ctx, table.match(ctx), 10.0).active);
   ctx.d_left = 1.0;
   ctx.d_right = 0.05;
-  const auto d = strategy->decide(ctx, table.match(ctx), 10.01);
+  const auto d = strategy.decide(ctx, table.match(ctx), 10.01);
   EXPECT_TRUE(d.active);
   EXPECT_EQ(d.steer_direction, -1);
 }
 
 TEST(Corruption, FixedValuesAreOpenPilotMaxima) {
-  attack::ValueCorruption vc(false, attack::CorruptionLimits::fixed(), 26.82);
+  attack::ValueCorruption vc(false);
   attack::ActivationDecision d;
   d.active = true;
   const auto accel =
-      vc.compute(d, attack::AttackType::kAcceleration, 20.0, 0.01);
+      vc.compute(d, attack::AttackType::kAcceleration, 20.0, 26.82, 0.01);
   EXPECT_DOUBLE_EQ(accel.accel_cmd.value(), 2.4);
   const auto brake =
-      vc.compute(d, attack::AttackType::kDeceleration, 20.0, 0.01);
+      vc.compute(d, attack::AttackType::kDeceleration, 20.0, 26.82, 0.01);
   EXPECT_DOUBLE_EQ(brake.accel_cmd.value(), -4.0);
   d.steer_direction = -1;
   const auto steer =
-      vc.compute(d, attack::AttackType::kSteeringRight, 20.0, 0.01);
+      vc.compute(d, attack::AttackType::kSteeringRight, 20.0, 26.82, 0.01);
   EXPECT_DOUBLE_EQ(steer.steer_cmd.value(), -units::deg_to_rad(0.5));
   EXPECT_FALSE(steer.accel_cmd.has_value());
 }
@@ -271,15 +328,15 @@ TEST(Corruption, FixedValuesAreOpenPilotMaxima) {
 TEST(Corruption, StrategicSpeedConstraint) {
   // Eq. 1-3: the accel value tapers so predicted speed stays <= 1.1 cruise.
   const double cruise = 26.82;
-  attack::ValueCorruption vc(true, attack::CorruptionLimits::strategic(),
-                             cruise);
+  attack::ValueCorruption vc(true);
   attack::ActivationDecision d;
   d.active = true;
   // Warm the Kalman estimate at a speed just below the ceiling.
   double speed = 1.1 * cruise - 0.005;
   for (int i = 0; i < 50; ++i)
-    vc.compute({}, attack::AttackType::kAcceleration, speed, 0.01);
-  const auto v = vc.compute(d, attack::AttackType::kAcceleration, speed, 0.01);
+    vc.compute({}, attack::AttackType::kAcceleration, speed, cruise, 0.01);
+  const auto v =
+      vc.compute(d, attack::AttackType::kAcceleration, speed, cruise, 0.01);
   ASSERT_TRUE(v.accel_cmd.has_value());
   EXPECT_LT(*v.accel_cmd, 2.0);  // tapered below the limit
   EXPECT_GE(*v.accel_cmd, 0.0);
@@ -289,21 +346,20 @@ TEST(Corruption, StrategicSpeedConstraint) {
 }
 
 TEST(Corruption, StrategicFullAccelWhenHeadroom) {
-  attack::ValueCorruption vc(true, attack::CorruptionLimits::strategic(),
-                             26.82);
+  attack::ValueCorruption vc(true);
   attack::ActivationDecision d;
   d.active = true;
   for (int i = 0; i < 50; ++i)
-    vc.compute({}, attack::AttackType::kAcceleration, 20.0, 0.01);
-  const auto v = vc.compute(d, attack::AttackType::kAcceleration, 20.0, 0.01);
+    vc.compute({}, attack::AttackType::kAcceleration, 20.0, 26.82, 0.01);
+  const auto v =
+      vc.compute(d, attack::AttackType::kAcceleration, 20.0, 26.82, 0.01);
   EXPECT_DOUBLE_EQ(v.accel_cmd.value(), 2.0);
 }
 
 TEST(Corruption, InactiveProducesNothing) {
-  attack::ValueCorruption vc(true, attack::CorruptionLimits::strategic(),
-                             26.82);
+  attack::ValueCorruption vc(true);
   const auto v =
-      vc.compute({}, attack::AttackType::kAcceleration, 20.0, 0.01);
+      vc.compute({}, attack::AttackType::kAcceleration, 20.0, 26.82, 0.01);
   EXPECT_FALSE(v.accel_cmd.has_value());
   EXPECT_FALSE(v.steer_cmd.has_value());
 }

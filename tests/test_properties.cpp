@@ -95,8 +95,7 @@ class StrategicEnvelope : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StrategicEnvelope, SpeedPredictionNeverExceedsCeiling) {
   const double cruise = 26.82;
-  attack::ValueCorruption vc(true, attack::CorruptionLimits::strategic(),
-                             cruise);
+  attack::ValueCorruption vc(true);
   util::Rng rng(GetParam());
   double speed = rng.uniform(15.0, 29.0);
   attack::ActivationDecision d;
@@ -104,7 +103,7 @@ TEST_P(StrategicEnvelope, SpeedPredictionNeverExceedsCeiling) {
   for (int i = 0; i < 2000; ++i) {
     speed = std::max(0.0, speed + rng.gaussian(0.0, 0.05));
     const auto v =
-        vc.compute(d, attack::AttackType::kAcceleration, speed, 0.01);
+        vc.compute(d, attack::AttackType::kAcceleration, speed, cruise, 0.01);
     ASSERT_TRUE(v.accel_cmd.has_value());
     EXPECT_GE(*v.accel_cmd, 0.0);
     EXPECT_LE(*v.accel_cmd, 2.0);
