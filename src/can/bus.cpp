@@ -41,6 +41,12 @@ void CanBus::set_fault_hook(FaultHook hook) {
 
 bool CanBus::send(CanFrame frame) {
   ++sent_;
+  if (frame.dlc > kMaxDlc) {
+    // Not a classic CAN frame: no node sees it, so nothing downstream
+    // (fault hook, interceptors, taps, receivers) indexes past data[7].
+    ++malformed_;
+    return false;
+  }
   if (fault_active_ && fault_hook_) {
     const FaultVerdict verdict = fault_hook_(frame);
     if (verdict.action == FaultVerdict::Action::kDrop)

@@ -69,7 +69,9 @@ class CanBus {
   /// Send a frame: consult the fault hook (when active), then run
   /// interceptors, then taps, then deliver to receivers. Returns false
   /// when the frame was dropped (by a fault or an interceptor); a delayed
-  /// frame returns true — it is delivered later by pump_delayed().
+  /// frame returns true — it is delivered later by pump_delayed(). A frame
+  /// with a DLC above 8 is malformed: it is dropped before the fault hook
+  /// and counted in frames_malformed().
   bool send(CanFrame frame);
 
   /// Install the benign-fault hook. Wiring, like taps: set once at World
@@ -99,6 +101,7 @@ class CanBus {
   void reset_counters() noexcept {
     sent_ = 0;
     dropped_ = 0;
+    malformed_ = 0;
     delay_overflows_ = 0;
     current_tick_ = 0;
     delayed_.clear();  // capacity kept: reset stays allocation-free
@@ -109,6 +112,9 @@ class CanBus {
 
   /// Frames dropped by interceptors.
   std::uint64_t frames_dropped() const noexcept { return dropped_; }
+
+  /// Frames dropped for a DLC above 8.
+  std::uint64_t frames_malformed() const noexcept { return malformed_; }
 
   /// Delay verdicts that degraded to immediate delivery because the queue
   /// was full (surfaced as suppressed kCanDelay faults in the summary).
@@ -135,6 +141,7 @@ class CanBus {
   std::uint64_t next_id_ = 1;
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t malformed_ = 0;
   std::uint64_t delay_overflows_ = 0;
   std::uint64_t current_tick_ = 0;
   bool fault_active_ = false;

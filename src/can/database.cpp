@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "can/checksum.hpp"
 #include "can/dbc_text.hpp"
 
 namespace scaa::can {
@@ -46,9 +47,18 @@ CM_ BO_ 780 "HUD message carrying the FCW flag (ADAS to dash)";
 
 Database::Database(std::vector<DbcMessage> messages)
     : msgs_(std::move(messages)) {
+  id_sums_.reserve(msgs_.size());
   for (const auto& m : msgs_) {
-    if (m.size == 0 || m.size > 8)
+    if (m.size == 0 || m.size > kMaxDlc)
       throw std::invalid_argument("Database: message size must be 1..8");
+    // The rule parse_dbc applies to text, for hand-built layouts too.
+    for (const DbcSignal& sig : m.signals) {
+      if (sig.min_dlc() > m.size)
+        throw std::invalid_argument("Database: signal " + sig.name() +
+                                    " runs past " + m.name + "'s " +
+                                    std::to_string(m.size) + " bytes");
+    }
+    id_sums_.push_back(static_cast<std::uint8_t>(can::id_nibble_sum(m.id)));
   }
   schema_ = MessageSchema(msgs_);
 }

@@ -45,6 +45,8 @@ inline constexpr const char* kFcw = "FCW";
 /// MessageSchema that the allocation-free codec paths resolve through.
 class Database {
  public:
+  /// Throws std::invalid_argument for a message size outside 1..8 or a
+  /// signal that runs past its message's size.
   explicit Database(std::vector<DbcMessage> messages);
 
   /// Message layout by CAN id; nullptr when unknown. O(1).
@@ -70,6 +72,12 @@ class Database {
     return msgs_[h.message].signals[h.signal];
   }
 
+  /// Nibble sum of the message's id (can::id_nibble_sum), the fixed
+  /// address part of its Honda checksum.
+  unsigned id_nibble_sum(MessageHandle h) const noexcept {
+    return id_sums_[h.index];
+  }
+
   /// Resolve a message name to a handle; throws std::invalid_argument for
   /// unknown names (setup-time API: fail loudly, once).
   MessageHandle handle(const std::string& message_name) const;
@@ -85,6 +93,7 @@ class Database {
 
  private:
   std::vector<DbcMessage> msgs_;
+  std::vector<std::uint8_t> id_sums_;  ///< per message index
   MessageSchema schema_;
 };
 

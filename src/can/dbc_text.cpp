@@ -61,28 +61,22 @@ std::vector<DbcMessage> parse_dbc(const std::string& text) {
                       "SG_ %127s : %d|%d@%d%c (%lf,%lf)", name, &start,
                       &len, &endian, &sign, &factor, &offset) != 7)
         fail(line_no, "malformed SG_ line");
-      if (start < 0 || start > 63) fail(line_no, "start bit must be 0..63");
-      if (len < 1 || len > 64) fail(line_no, "signal length must be 1..64");
       if (endian != 0 && endian != 1) fail(line_no, "endianness must be 0/1");
       if (sign != '+' && sign != '-') fail(line_no, "sign must be + or -");
-      if (factor == 0.0) fail(line_no, "factor must be nonzero");
+      DbcSignal sig = [&] {
+        try {
+          return DbcSignal(name, start, len,
+                           endian == 1 ? ByteOrder::kLittleEndian
+                                       : ByteOrder::kBigEndian,
+                           sign == '-', factor, offset);
+        } catch (const std::invalid_argument& e) {
+          fail(line_no, e.what());
+        }
+      }();
       // The signal's last bit must lie inside the message's DLC bytes.
-      // Intel counts bits up from start_bit; Motorola runs down the
-      // sawtooth, i.e. up from start_bit's distance to the frame's MSB
-      // (the arithmetic of the codec's word shift).
-      const int first = endian == 1 ? start : (start / 8) * 8 + 7 - start % 8;
-      if (first + len > 8 * messages.back().size)
+      if (sig.min_dlc() > messages.back().size)
         fail(line_no, "signal runs past the message's " +
                           std::to_string(messages.back().size) + " bytes");
-      DbcSignal sig;
-      sig.name = name;
-      sig.start_bit = start;
-      sig.size = len;
-      sig.order = endian == 1 ? ByteOrder::kLittleEndian
-                              : ByteOrder::kBigEndian;
-      sig.is_signed = sign == '-';
-      sig.factor = factor;
-      sig.offset = offset;
       messages.back().signals.push_back(std::move(sig));
       continue;
     }

@@ -18,21 +18,25 @@ void CanPacker::reset_counters() noexcept {
 CanFrame CanPacker::pack(MessageHandle msg, std::span<const double> values) {
   const DbcMessage& layout = db_->message(msg);
 
-  CanFrame frame;
-  frame.id = layout.id;
-  frame.dlc = layout.size;
-
+  // The payload is built as one word and stored once.
+  std::uint64_t word = 0;
   const std::size_t n = std::min(values.size(), layout.signals.size());
   for (std::size_t i = 0; i < n; ++i) {
-    if (!std::isnan(values[i])) layout.signals[i].encode(frame.data, values[i]);
+    if (!std::isnan(values[i]))
+      word = layout.signals[i].replace(word, values[i]);
   }
 
   if (layout.checksum == ChecksumKind::kHonda) {
     std::uint8_t& counter = counters_[msg.index];
-    write_counter(frame, counter);
+    word = with_counter(word, layout.size, counter);
     counter = static_cast<std::uint8_t>((counter + 1) & 0x3);
-    apply_honda_checksum(frame);
+    word = with_honda_checksum(db_->id_nibble_sum(msg), word, layout.size);
   }
+
+  CanFrame frame;
+  frame.id = layout.id;
+  frame.dlc = layout.size;
+  store_payload(frame.data, word);
   return frame;
 }
 
@@ -64,20 +68,27 @@ void CanParser::reset() noexcept {
   counter_errors_ = 0;
 }
 
-const CanParser::ParsedFrame* CanParser::parse_flat(const CanFrame& frame) {
+const CanParser::ParsedFrame* CanParser::validate(const CanFrame& frame) {
+  return check(frame, load_payload(frame.data));
+}
+
+const CanParser::ParsedFrame* CanParser::check(const CanFrame& frame,
+                                               std::uint64_t word) {
   const MessageHandle msg = db_->schema().message_by_id(frame.id);
   if (!msg.valid()) return nullptr;
   const DbcMessage& layout = db_->message(msg);
 
   flat_.handle = msg;
   flat_.message = &layout;
+  flat_.values = {};
   flat_.checksum_ok = true;
   flat_.counter_ok = true;
 
   if (layout.checksum == ChecksumKind::kHonda) {
-    flat_.checksum_ok = verify_honda_checksum(frame);
+    flat_.checksum_ok =
+        honda_checksum_ok(db_->id_nibble_sum(msg), word, frame.dlc);
 
-    const std::uint8_t counter = read_counter(frame);
+    const std::uint8_t counter = counter_of(word, frame.dlc);
     std::int16_t& last = last_counter_[msg.index];
     if (last >= 0) {
       const auto expected = static_cast<std::uint8_t>((last + 1) & 0x3);
@@ -86,10 +97,15 @@ const CanParser::ParsedFrame* CanParser::parse_flat(const CanFrame& frame) {
     }
     last = counter;
   }
+  return &flat_;
+}
 
-  const std::size_t n = layout.signals.size();
-  for (std::size_t i = 0; i < n; ++i)
-    values_[i] = layout.signals[i].decode(frame.data);
+const CanParser::ParsedFrame* CanParser::parse_flat(const CanFrame& frame) {
+  const std::uint64_t word = load_payload(frame.data);
+  if (check(frame, word) == nullptr) return nullptr;
+  const std::vector<DbcSignal>& signals = flat_.message->signals;
+  const std::size_t n = signals.size();
+  for (std::size_t i = 0; i < n; ++i) values_[i] = signals[i].value(word);
   flat_.values = std::span<const double>(values_.data(), n);
   return &flat_;
 }
@@ -103,7 +119,7 @@ std::optional<CanParser::Parsed> CanParser::parse(const CanFrame& frame) {
   out.checksum_ok = flat->checksum_ok;
   out.counter_ok = flat->counter_ok;
   for (std::size_t i = 0; i < flat->values.size(); ++i)
-    out.values[flat->message->signals[i].name] = flat->values[i];
+    out.values[flat->message->signals[i].name()] = flat->values[i];
   return out;
 }
 

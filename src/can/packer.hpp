@@ -82,6 +82,14 @@ class CanParser {
     bool counter_ok = true;  ///< counter advanced as expected
   };
 
+  /// Integrity-only parse: resolve the id and check the checksum and the
+  /// counter (advancing the counter history exactly as parse_flat does)
+  /// without decoding any signal; `values` is empty. A consumer that
+  /// reads one signal decodes it from the frame itself (DbcSignal::decode).
+  /// Returns nullptr for unknown ids; otherwise a pointer to internal
+  /// state overwritten by the next call.
+  const ParsedFrame* validate(const CanFrame& frame);
+
   /// Precompiled path: parse a frame with zero per-frame heap allocation.
   /// Returns nullptr for unknown ids; otherwise a pointer to internal
   /// state overwritten by the next call. Counter continuity is tracked per
@@ -107,6 +115,9 @@ class CanParser {
   void reset() noexcept;
 
  private:
+  /// validate() on the already loaded payload word.
+  const ParsedFrame* check(const CanFrame& frame, std::uint64_t word);
+
   const Database* db_;
   std::vector<std::int16_t> last_counter_;  ///< per message index; -1 = none
   std::vector<double> values_;              ///< parse_flat scratch

@@ -28,7 +28,7 @@ MessageSchema::MessageSchema(const std::vector<DbcMessage>& messages) {
     max_signals_ = std::max(max_signals_, msg.signals.size());
     const std::size_t run_begin = signal_names_.size();
     for (std::size_t s = 0; s < msg.signals.size(); ++s)
-      signal_names_.emplace_back(msg.signals[s].name,
+      signal_names_.emplace_back(msg.signals[s].name(),
                                  static_cast<std::uint16_t>(s));
     std::sort(signal_names_.begin() + static_cast<std::ptrdiff_t>(run_begin),
               signal_names_.end());

@@ -16,18 +16,17 @@ DefenseHarness::DefenseHarness(sim::World& world,
       inference_(world.message_bus(), 0.9),
       car_control_(world.message_bus()),
       tap_parser_(world.dbc()),
-      steer_angle_sig_(world.dbc().signal_handle("STEERING_CONTROL",
-                                                 can::sig::kSteerAngleCmd)),
-      accel_sig_(
-          world.dbc().signal_handle("GAS_BRAKE_COMMAND", can::sig::kAccelCmd)) {
+      steer_angle_sig_(&world.dbc().signal(world.dbc().signal_handle(
+          "STEERING_CONTROL", can::sig::kSteerAngleCmd))),
+      accel_sig_(&world.dbc().signal(world.dbc().signal_handle(
+          "GAS_BRAKE_COMMAND", can::sig::kAccelCmd))) {
   world.can().attach_tap([this](const can::CanFrame& frame) {
-    const auto* parsed = tap_parser_.parse_flat(frame);
-    if (parsed == nullptr || !parsed->checksum_ok) return;
+    const auto* checked = tap_parser_.validate(frame);
+    if (checked == nullptr || !checked->checksum_ok) return;
     if (frame.id == can::msg_id::kSteeringControl) {
-      wire_steer_ =
-          units::deg_to_rad(parsed->values[steer_angle_sig_.signal]);
+      wire_steer_ = units::deg_to_rad(steer_angle_sig_->decode(frame.data));
     } else if (frame.id == can::msg_id::kGasBrakeCommand) {
-      wire_accel_ = parsed->values[accel_sig_.signal];
+      wire_accel_ = accel_sig_->decode(frame.data);
     }
   });
 }

@@ -57,10 +57,11 @@ class DefenseHarness {
   attack::ContextInference inference_;
   msg::Latest<msg::CarControl> car_control_;
   can::CanParser tap_parser_;
-  // Resolved once: the tap decodes every command frame at 100 Hz and must
-  // not allocate (it rides inside the simulation hot path).
-  can::SignalHandle steer_angle_sig_;
-  can::SignalHandle accel_sig_;
+  // Resolved once: the tap checks every command frame at 100 Hz and
+  // decodes the one signal it reads; it must not allocate (it rides inside
+  // the simulation hot path). Borrowed from the world's database.
+  const can::DbcSignal* steer_angle_sig_;
+  const can::DbcSignal* accel_sig_;
   double wire_accel_ = 0.0;
   double wire_steer_ = 0.0;
 };

@@ -5,7 +5,8 @@
 namespace scaa::geom {
 
 FrenetPoint FrenetFrame::to_frenet(Vec2 world) noexcept {
-  const Polyline::Projection proj = ref_->project(world, hint_s_);
+  const Polyline::Projection proj =
+      ref_->project(world, hint_s_, hint_segment_);
   hint_s_ = proj.s;
   hint_segment_ = proj.segment;
   return {proj.s, proj.lateral};

@@ -27,8 +27,8 @@ class FrenetFrame {
   explicit FrenetFrame(const Polyline& reference) : ref_(&reference) {}
 
   /// Convert a world position to Frenet coordinates: project it onto the
-  /// reference line, seeded with the previous conversion's arc length, and
-  /// keep the result as the hint for the next one.
+  /// reference line, seeded with the previous conversion's arc length and
+  /// segment, and keep the result as the hint for the next one.
   FrenetPoint to_frenet(Vec2 world) noexcept;
 
   /// Search hint for the next projection: arc length of the last

@@ -9,12 +9,9 @@ namespace scaa::geom {
 
 namespace {
 
-/// Half-width (in segments) of the initial hinted search window. The step
-/// loop moves a vehicle well under one segment per tick, so the first
-/// window almost always contains the answer; stale hints widen from here.
-/// (Narrower than the historical fixed +/-8 window: the interior-acceptance
-/// retry in project() makes a miss a recoverable slow path rather than a
-/// wrong answer, so the common case can afford to scan less.)
+/// Half-width (in segments) of the first widening window, tried when the
+/// centre segment of a hinted projection is not the nearest of its three;
+/// stale hints widen from here.
 constexpr std::size_t kHintWindow = 4;
 
 }  // namespace
@@ -225,10 +222,21 @@ Polyline::Projection Polyline::finalize(Vec2 p, std::size_t i) const noexcept {
   return out;
 }
 
-Polyline::Projection Polyline::project(Vec2 p, double hint_s) const noexcept {
+Polyline::Projection Polyline::project(
+    Vec2 p, double hint_s, std::size_t hint_segment) const noexcept {
   const std::size_t nseg = pts_.size() - 1;
   if (hint_s >= 0.0 && nseg > 2 * kHintWindow) {
-    const std::size_t center = segment_index(hint_s);  // clamps past the end
+    // Clamps past the end; a segment hint only seeds the walk, which ends
+    // on the same index from any start.
+    const std::size_t center = hint_segment == kNoSegmentHint
+                                   ? segment_index(hint_s)
+                                   : segment_index_near(hint_s, hint_segment);
+    // A hinted query usually lands on the centre segment: scan it and its
+    // two neighbours first, and accept it under the same interior rule as
+    // the windows.
+    if (center > 0 && center + 1 < nseg &&
+        best_segment(p, center - 1, center + 2) == center)
+      return finalize(p, center);
     for (std::size_t w = kHintWindow;; w *= 4) {
       const std::size_t lo = center > w ? center - w : 0;
       const std::size_t hi = std::min(center + w + 1, nseg);

@@ -63,16 +63,23 @@ class Polyline {
   /// Project @p p to the closest point on the polyline.
   ///
   /// @p hint_s speeds up the search by starting near a previous projection
-  /// (pass a negative value for a full search). The search scans a window
-  /// of segments around the hint and accepts the result only when the best
-  /// segment is interior to the window; a best on the window's first/last
-  /// searched segment means the true minimum may lie beyond it, so the
-  /// window is widened and the scan retried until the best is interior or
-  /// the window covers the whole polyline. The simulation steps vehicles a
-  /// few centimetres per tick, so the hinted search is O(1) amortized and
-  /// exact; even a teleported point recovers unless the geometry folds back
-  /// on itself closer than the point's offset (pass hint_s < 0 there).
-  Projection project(Vec2 p, double hint_s = -1.0) const noexcept;
+  /// (pass a negative value for a full search); @p hint_segment, that
+  /// projection's segment, lets the search find the segment at hint_s
+  /// without the scaled-guess walk. The search centres on the segment at
+  /// hint_s and first scans it with its two neighbours: when the centre is
+  /// the nearest of the three, it is the answer. Otherwise it scans a
+  /// window of +/-4 segments around the centre and accepts the result only
+  /// when the best segment is interior to the window; a best on the
+  /// window's first/last searched segment means the true minimum may lie
+  /// beyond it, so the window is widened fourfold and the scan retried
+  /// until the best is interior or the window covers the whole polyline.
+  /// The simulation steps vehicles less than a segment per tick, so the
+  /// hinted search is O(1) amortized and exact; even a teleported point
+  /// recovers unless the geometry folds back on itself closer than the
+  /// point's offset (pass hint_s < 0 there). The segment hint never changes
+  /// the result: any value, stale or out of range, finds the same centre.
+  Projection project(Vec2 p, double hint_s = -1.0,
+                     std::size_t hint_segment = kNoSegmentHint) const noexcept;
 
   /// Brute-force all-segments reference projection in the pre-SoA scalar
   /// arithmetic (one division per segment, sqrt per improvement). This is

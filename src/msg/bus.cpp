@@ -17,148 +17,6 @@ std::string_view topic_name(Topic topic) {
   return "unknown";
 }
 
-void encode(Encoder& e, const GpsLocationExternal& m) {
-  e.put_u64(m.mono_time);
-  e.put_f64(m.latitude);
-  e.put_f64(m.longitude);
-  e.put_f64(m.speed);
-  e.put_f64(m.bearing);
-  e.put_bool(m.has_fix);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes,
-                 GpsLocationExternal& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.latitude = d.get_f64();
-  m.longitude = d.get_f64();
-  m.speed = d.get_f64();
-  m.bearing = d.get_f64();
-  m.has_fix = d.get_bool();
-}
-
-void encode(Encoder& e, const ModelV2& m) {
-  e.put_u64(m.mono_time);
-  e.put_f64(m.left_lane_line);
-  e.put_f64(m.right_lane_line);
-  e.put_f64(m.left_line_prob);
-  e.put_f64(m.right_line_prob);
-  e.put_f64(m.path_curvature);
-  e.put_f64(m.path_heading_error);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes, ModelV2& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.left_lane_line = d.get_f64();
-  m.right_lane_line = d.get_f64();
-  m.left_line_prob = d.get_f64();
-  m.right_line_prob = d.get_f64();
-  m.path_curvature = d.get_f64();
-  m.path_heading_error = d.get_f64();
-}
-
-void encode(Encoder& e, const RadarState& m) {
-  e.put_u64(m.mono_time);
-  e.put_bool(m.lead_valid);
-  e.put_f64(m.lead_distance);
-  e.put_f64(m.lead_rel_speed);
-  e.put_f64(m.lead_speed);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes, RadarState& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.lead_valid = d.get_bool();
-  m.lead_distance = d.get_f64();
-  m.lead_rel_speed = d.get_f64();
-  m.lead_speed = d.get_f64();
-}
-
-void encode(Encoder& e, const CarState& m) {
-  e.put_u64(m.mono_time);
-  e.put_f64(m.speed);
-  e.put_f64(m.accel);
-  e.put_f64(m.steer_angle);
-  e.put_f64(m.cruise_speed);
-  e.put_bool(m.cruise_enabled);
-  e.put_f64(m.driver_torque);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes, CarState& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.speed = d.get_f64();
-  m.accel = d.get_f64();
-  m.steer_angle = d.get_f64();
-  m.cruise_speed = d.get_f64();
-  m.cruise_enabled = d.get_bool();
-  m.driver_torque = d.get_f64();
-}
-
-void encode(Encoder& e, const CarControl& m) {
-  e.put_u64(m.mono_time);
-  e.put_bool(m.enabled);
-  e.put_f64(m.accel);
-  e.put_f64(m.steer_angle);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes, CarControl& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.enabled = d.get_bool();
-  m.accel = d.get_f64();
-  m.steer_angle = d.get_f64();
-}
-
-void encode(Encoder& e, const ControlsState& m) {
-  e.put_u64(m.mono_time);
-  e.put_bool(m.active);
-  e.put_bool(m.steer_saturated);
-  e.put_bool(m.fcw);
-  e.put_u32(m.alert_count);
-}
-
-void deserialize(std::span<const std::uint8_t> bytes, ControlsState& m) {
-  Decoder d(bytes);
-  m.mono_time = d.get_u64();
-  m.active = d.get_bool();
-  m.steer_saturated = d.get_bool();
-  m.fcw = d.get_bool();
-  m.alert_count = d.get_u32();
-}
-
-namespace {
-
-template <typename M>
-std::vector<std::uint8_t> serialize_exact(const M& m) {
-  Encoder e;
-  e.reserve(WireSizeOf<M>::value);
-  encode(e, m);
-  return e.take();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize(const GpsLocationExternal& m) {
-  return serialize_exact(m);
-}
-std::vector<std::uint8_t> serialize(const ModelV2& m) {
-  return serialize_exact(m);
-}
-std::vector<std::uint8_t> serialize(const RadarState& m) {
-  return serialize_exact(m);
-}
-std::vector<std::uint8_t> serialize(const CarState& m) {
-  return serialize_exact(m);
-}
-std::vector<std::uint8_t> serialize(const CarControl& m) {
-  return serialize_exact(m);
-}
-std::vector<std::uint8_t> serialize(const ControlsState& m) {
-  return serialize_exact(m);
-}
-
 std::uint64_t PubSubBus::subscribe_raw(Topic topic, RawHandler handler) {
   if (!topic_valid(topic))
     throw std::invalid_argument("PubSubBus::subscribe_raw: unknown topic");
@@ -209,8 +67,8 @@ void PubSubBus::sweep_dead() {
 }
 
 void PubSubBus::reset() noexcept {
-  // Sequence counters restart; subscriptions, subscription ids, and
-  // scratch capacity all survive (see the header for why that retention
+  // Sequence counters restart; subscriptions and subscription ids
+  // survive (see the header for why that retention
   // is the point).
   for (TopicState& st : topics_) st.sequence = 0;
 }

@@ -19,11 +19,13 @@
 ///    decode(serialize(m)) delivery.
 ///  * the **raw wire path** (`subscribe_raw`) receives the frame bytes.
 ///    Serialization happens lazily, only when at least one raw subscriber
-///    is attached to the topic, into a per-topic scratch buffer that is
-///    reused across publishes; the handler sees a non-owning `WireFrame`
-///    view of it. The eavesdropping surface is therefore preserved by
-///    design — any component may still tap byte-identical frames without
-///    auth — the bytes are just not materialized when nobody is looking.
+///    is attached to the topic: the publish writes the message's
+///    fixed-size frame (WireBytes<M>, one little-endian word store per
+///    field) into a stack array, and the handlers see a non-owning
+///    `WireFrame` view of it. The eavesdropping surface is therefore
+///    preserved by design — any component may still tap byte-identical
+///    frames without auth — the bytes are just not materialized when
+///    nobody is looking.
 ///
 /// Within one publish, typed subscribers run before raw subscribers; each
 /// group runs in subscription order. Handlers may subscribe/unsubscribe
@@ -48,58 +50,139 @@
 
 namespace scaa::msg {
 
-/// Exact wire size of each schema message. Every message encodes as a flat
-/// fixed field sequence (no varints, no optional fields), so the raw path
-/// can reserve exactly once and never reallocate.
+/// Wire layout of each schema message: its fields, in wire order, as
+/// member pointers. This list is the one definition of a message's frame;
+/// encode(), deserialize() and WireSizeOf all read it. Every message is a
+/// flat fixed field sequence (no varints, no optional fields), so every
+/// frame has one size, known at compile time.
+template <auto... Fields>
+struct WireFields {};
+
 template <typename M>
-struct WireSizeOf;
-template <> struct WireSizeOf<GpsLocationExternal> {
-  static constexpr std::size_t value = 41;  // u64 + 4*f64 + bool
+struct WireLayout;
+template <> struct WireLayout<GpsLocationExternal> {
+  using M = GpsLocationExternal;
+  using type = WireFields<&M::mono_time, &M::latitude, &M::longitude,
+                          &M::speed, &M::bearing, &M::has_fix>;
 };
-template <> struct WireSizeOf<ModelV2> {
-  static constexpr std::size_t value = 56;  // u64 + 6*f64
+template <> struct WireLayout<ModelV2> {
+  using M = ModelV2;
+  using type = WireFields<&M::mono_time, &M::left_lane_line,
+                          &M::right_lane_line, &M::left_line_prob,
+                          &M::right_line_prob, &M::path_curvature,
+                          &M::path_heading_error>;
 };
-template <> struct WireSizeOf<RadarState> {
-  static constexpr std::size_t value = 33;  // u64 + bool + 3*f64
+template <> struct WireLayout<RadarState> {
+  using M = RadarState;
+  using type = WireFields<&M::mono_time, &M::lead_valid, &M::lead_distance,
+                          &M::lead_rel_speed, &M::lead_speed>;
 };
-template <> struct WireSizeOf<CarState> {
-  static constexpr std::size_t value = 49;  // u64 + 5*f64 + bool
+template <> struct WireLayout<CarState> {
+  using M = CarState;
+  using type = WireFields<&M::mono_time, &M::speed, &M::accel,
+                          &M::steer_angle, &M::cruise_speed,
+                          &M::cruise_enabled, &M::driver_torque>;
 };
-template <> struct WireSizeOf<CarControl> {
-  static constexpr std::size_t value = 25;  // u64 + bool + 2*f64
+template <> struct WireLayout<CarControl> {
+  using M = CarControl;
+  using type = WireFields<&M::mono_time, &M::enabled, &M::accel,
+                          &M::steer_angle>;
 };
-template <> struct WireSizeOf<ControlsState> {
-  static constexpr std::size_t value = 15;  // u64 + 3*bool + u32
+template <> struct WireLayout<ControlsState> {
+  using M = ControlsState;
+  using type = WireFields<&M::mono_time, &M::active, &M::steer_saturated,
+                          &M::fcw, &M::alert_count>;
 };
 
-/// Append the wire encoding of @p m (exactly WireSizeOf<M>::value bytes).
-void encode(Encoder& e, const GpsLocationExternal& m);
-void encode(Encoder& e, const ModelV2& m);
-void encode(Encoder& e, const RadarState& m);
-void encode(Encoder& e, const CarState& m);
-void encode(Encoder& e, const CarControl& m);
-void encode(Encoder& e, const ControlsState& m);
+namespace wire {
+
+template <typename C, typename T>
+T field_type_of(T C::*);
+
+// A field occupies sizeof its type on the wire: f64 its eight IEEE-754
+// bytes, a bool one byte.
+static_assert(sizeof(bool) == 1, "bools travel as one byte");
+
+inline void put(std::uint8_t* p, std::uint64_t v) noexcept { store_le(p, v); }
+inline void put(std::uint8_t* p, std::uint32_t v) noexcept { store_le(p, v); }
+inline void put(std::uint8_t* p, double v) noexcept {
+  store_le(p, std::bit_cast<std::uint64_t>(v));
+}
+inline void put(std::uint8_t* p, bool v) noexcept { *p = v ? 1 : 0; }
+
+inline void get(const std::uint8_t* p, std::uint64_t& v) noexcept {
+  v = load_le<std::uint64_t>(p);
+}
+inline void get(const std::uint8_t* p, std::uint32_t& v) noexcept {
+  v = load_le<std::uint32_t>(p);
+}
+inline void get(const std::uint8_t* p, double& v) noexcept {
+  v = std::bit_cast<double>(load_le<std::uint64_t>(p));
+}
+inline void get(const std::uint8_t* p, bool& v) noexcept { v = *p != 0; }
+
+template <auto... Fields>
+constexpr std::size_t size_of(WireFields<Fields...>) noexcept {
+  return (std::size_t{0} + ... + sizeof(decltype(field_type_of(Fields))));
+}
+
+template <typename M, auto... Fields>
+void encode(const M& m, std::uint8_t* out, WireFields<Fields...>) noexcept {
+  std::size_t at = 0;
+  ((put(out + at, m.*Fields), at += sizeof(m.*Fields)), ...);
+}
+
+template <typename M, auto... Fields>
+void decode(const std::uint8_t* in, M& m, WireFields<Fields...>) noexcept {
+  std::size_t at = 0;
+  ((get(in + at, m.*Fields), at += sizeof(m.*Fields)), ...);
+}
+
+}  // namespace wire
+
+/// Exact wire size of each schema message.
+template <typename M>
+struct WireSizeOf {
+  static constexpr std::size_t value =
+      wire::size_of(typename WireLayout<M>::type{});
+};
+static_assert(WireSizeOf<GpsLocationExternal>::value == 41);  // u64 4*f64 bool
+static_assert(WireSizeOf<ModelV2>::value == 56);              // u64 6*f64
+static_assert(WireSizeOf<RadarState>::value == 33);  // u64 bool 3*f64
+static_assert(WireSizeOf<CarState>::value == 49);    // u64 5*f64 bool
+static_assert(WireSizeOf<CarControl>::value == 25);  // u64 bool 2*f64
+static_assert(WireSizeOf<ControlsState>::value == 15);  // u64 3*bool u32
+
+/// One message's frame: exactly WireSizeOf<M>::value bytes.
+template <typename M>
+using WireBytes = std::array<std::uint8_t, WireSizeOf<M>::value>;
+
+/// Write the frame of @p m into @p out: one fixed-width store per field.
+template <typename M>
+void encode(const M& m, WireBytes<M>& out) noexcept {
+  wire::encode(m, out.data(), typename WireLayout<M>::type{});
+}
 
 /// Serialize any schema message into a fresh, exactly-sized buffer.
-std::vector<std::uint8_t> serialize(const GpsLocationExternal& m);
-std::vector<std::uint8_t> serialize(const ModelV2& m);
-std::vector<std::uint8_t> serialize(const RadarState& m);
-std::vector<std::uint8_t> serialize(const CarState& m);
-std::vector<std::uint8_t> serialize(const CarControl& m);
-std::vector<std::uint8_t> serialize(const ControlsState& m);
+template <typename M>
+std::vector<std::uint8_t> serialize(const M& m) {
+  WireBytes<M> frame;
+  encode(m, frame);
+  return {frame.begin(), frame.end()};
+}
 
-/// Deserialize into a schema message; throws std::out_of_range on
-/// truncation. Accepts any contiguous byte view (vector, WireFrame
-/// payload, ...).
-void deserialize(std::span<const std::uint8_t> bytes, GpsLocationExternal& m);
-void deserialize(std::span<const std::uint8_t> bytes, ModelV2& m);
-void deserialize(std::span<const std::uint8_t> bytes, RadarState& m);
-void deserialize(std::span<const std::uint8_t> bytes, CarState& m);
-void deserialize(std::span<const std::uint8_t> bytes, CarControl& m);
-void deserialize(std::span<const std::uint8_t> bytes, ControlsState& m);
+/// Deserialize into a schema message; throws std::out_of_range when
+/// @p bytes is shorter than the frame (trailing bytes are ignored).
+/// Accepts any contiguous byte view (vector, WireFrame payload, ...).
+template <typename M>
+void deserialize(std::span<const std::uint8_t> bytes, M& m) {
+  if (bytes.size() < WireSizeOf<M>::value)
+    throw std::out_of_range("msg::deserialize: truncated frame");
+  wire::decode(bytes.data(), m, typename WireLayout<M>::type{});
+}
 
 /// A frame as seen on the wire. The payload is a non-owning view into the
-/// bus's per-topic scratch buffer: it is valid for the duration of the raw
+/// publishing call's frame buffer: it is valid for the duration of the raw
 /// handler call; a subscriber that wants to keep the bytes must copy them
 /// (see msg::StoredFrame).
 struct WireFrame {
@@ -136,8 +219,8 @@ class PubSubBus {
 
   /// Publish a typed message: stamp the per-topic sequence, hand the
   /// struct to typed subscribers, and — only if the topic has at least one
-  /// raw subscriber — serialize once into the topic's scratch buffer and
-  /// fan the WireFrame view out to them.
+  /// raw subscriber — serialize once into a stack frame and fan the
+  /// WireFrame view out to them.
   template <typename M>
   void publish(const M& m) {
     TopicState& st = topics_[topic_index(TopicOf<M>::value)];
@@ -148,16 +231,12 @@ class PubSubBus {
       if (sub->alive) sub->handler(&m);
     }
     if (st.raw.empty()) return;
-    // A raw handler that publishes on the same topic (e.g. a replay tap)
-    // must not clobber the scratch bytes the outer fan-out is still
-    // reading; the nested publish pays for a local buffer instead.
-    Encoder local;
-    Encoder& wire = st.serializing ? local : st.scratch;
-    const ScratchGuard scratch_guard(st);
-    wire.clear();
-    wire.reserve(WireSizeOf<M>::value);
-    encode(wire, m);
-    const WireFrame frame{TopicOf<M>::value, seq, wire.bytes()};
+    // Each fan-out encodes into its own stack frame, so a raw handler that
+    // publishes on the same topic (a replay tap) cannot clobber the bytes
+    // this fan-out is still delivering.
+    WireBytes<M> wire;
+    encode(m, wire);
+    const WireFrame frame{TopicOf<M>::value, seq, wire};
     for (std::size_t i = 0, n = st.raw.size(); i < n; ++i) {
       const RawSub* sub = st.raw[i].get();
       if (sub->alive) sub->handler(frame);
@@ -166,7 +245,7 @@ class PubSubBus {
 
   /// Re-arm the bus for a new simulation: every per-topic sequence counter
   /// restarts from zero while every subscription — typed and raw — stays
-  /// attached, and scratch buffers keep their capacity. Retaining the
+  /// attached. Retaining the
   /// subscriber set is deliberate and security-relevant: an eavesdropper
   /// that tapped a topic once keeps receiving byte-identical frames across
   /// World resets, and the restarted sequence numbers stay gap-free, so
@@ -202,8 +281,6 @@ class PubSubBus {
     std::vector<std::unique_ptr<TypedSub>> typed;
     std::vector<std::unique_ptr<RawSub>> raw;
     std::uint64_t sequence = 0;
-    Encoder scratch;            ///< reusable wire buffer (lazy raw path)
-    bool serializing = false;   ///< scratch currently exposed to handlers
   };
 
   struct DispatchGuard {
@@ -214,15 +291,6 @@ class PubSubBus {
     ~DispatchGuard() {
       if (--bus.dispatch_depth_ == 0 && bus.sweep_pending_) bus.sweep_dead();
     }
-  };
-  struct ScratchGuard {
-    TopicState& st;
-    bool prev;
-    explicit ScratchGuard(TopicState& s) noexcept
-        : st(s), prev(s.serializing) {
-      st.serializing = true;
-    }
-    ~ScratchGuard() { st.serializing = prev; }
   };
 
   std::uint64_t subscribe_typed(Topic topic, TypedHandler handler);

@@ -37,8 +37,8 @@ void MessageLog::record_topic(PubSubBus& bus, Topic topic,
                               std::function<std::uint64_t()> clock) {
   subscriptions_.push_back(bus.subscribe_raw(
       topic, [this, clock = std::move(clock)](const WireFrame& frame) {
-        // The frame payload is a view into the bus's scratch buffer; the
-        // log owns its copy.
+        // The frame payload is a view into the publishing call's frame
+        // buffer; the log owns its copy.
         entries_.push_back(
             {clock ? clock() : 0,
              {frame.topic, frame.sequence,

@@ -18,8 +18,8 @@
 namespace scaa::msg {
 
 /// An owned copy of one wire frame. The bus hands raw subscribers
-/// non-owning WireFrame views into its scratch buffer; anything that
-/// outlives the handler call (a drive log, a save file) stores this.
+/// non-owning WireFrame views into a per-publish frame buffer; anything
+/// that outlives the handler call (a drive log, a save file) stores this.
 struct StoredFrame {
   Topic topic{};
   std::uint64_t sequence = 0;

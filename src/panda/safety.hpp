@@ -68,10 +68,11 @@ class PandaSafety {
   PandaLimits limits_;
   PandaStats stats_;
   can::CanParser parser_;
-  // Signal indices resolved once so check() runs the allocation-free
-  // flat parse path (firmware has no heap either).
-  can::SignalHandle steer_angle_sig_;
-  can::SignalHandle accel_sig_;
+  // Signals resolved once: check() validates the frame and decodes the
+  // one signal it polices, allocation-free (firmware has no heap either).
+  // Borrowed from the database.
+  const can::DbcSignal* steer_angle_sig_;
+  const can::DbcSignal* accel_sig_;
   bool has_last_steer_ = false;
   double last_steer_deg_ = 0.0;
 };

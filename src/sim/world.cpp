@@ -108,22 +108,22 @@ World::World(WorldConfig config)
   // Handles resolved here, once; the receiver then decodes every frame
   // through the flat path (no heap, no string keys) at 100 Hz.
   gateway_parser_ = std::make_unique<can::CanParser>(db);
-  gateway_steer_sig_ =
-      db.signal_handle("STEERING_CONTROL", can::sig::kSteerAngleCmd);
-  gateway_accel_sig_ =
-      db.signal_handle("GAS_BRAKE_COMMAND", can::sig::kAccelCmd);
+  gateway_steer_sig_ = &db.signal(
+      db.signal_handle("STEERING_CONTROL", can::sig::kSteerAngleCmd));
+  gateway_accel_sig_ = &db.signal(
+      db.signal_handle("GAS_BRAKE_COMMAND", can::sig::kAccelCmd));
   can_bus_.attach_receiver([this](const can::CanFrame& frame) {
-    const auto* parsed = gateway_parser_->parse_flat(frame);
-    if (parsed == nullptr) return;
-    if (!parsed->checksum_ok) {
+    const auto* checked = gateway_parser_->validate(frame);
+    if (checked == nullptr) return;
+    if (!checked->checksum_ok) {
       ++gateway_rejects_;
       return;  // the actuator ECU discards tampered frames
     }
     if (frame.id == can::msg_id::kSteeringControl) {
       gateway_steer_cmd_ =
-          units::deg_to_rad(parsed->values[gateway_steer_sig_.signal]);
+          units::deg_to_rad(gateway_steer_sig_->decode(frame.data));
     } else if (frame.id == can::msg_id::kGasBrakeCommand) {
-      gateway_accel_cmd_ = parsed->values[gateway_accel_sig_.signal];
+      gateway_accel_cmd_ = gateway_accel_sig_->decode(frame.data);
     }
   });
 

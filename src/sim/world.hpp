@@ -243,9 +243,10 @@ class World {
   std::uint64_t gateway_rejects_ = 0;
   std::size_t camera_lane_ = 0;  ///< lane the camera is currently locked to
 
-  // Resolved once: gateway decode runs the flat (allocation-free) path.
-  can::SignalHandle gateway_steer_sig_;
-  can::SignalHandle gateway_accel_sig_;
+  // Resolved once: the gateway checks each frame's integrity and decodes
+  // the one signal it reads (allocation-free). Borrowed from the database.
+  const can::DbcSignal* gateway_steer_sig_ = nullptr;
+  const can::DbcSignal* gateway_accel_sig_ = nullptr;
 
   // Constant lane geometry, hoisted out of the step loop.
   double lane0_center_ = 0.0;

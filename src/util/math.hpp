@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 namespace scaa::math {
 
@@ -27,6 +28,18 @@ constexpr bool near(double a, double b, double tol) noexcept {
 constexpr double rate_limit(double current, double target,
                             double max_delta) noexcept {
   return clamp(target, current - max_delta, current + max_delta);
+}
+
+/// Round to the nearest integer, ties away from zero: std::llround without
+/// the libm call. Exact for every |x| < 2^63: the truncation is exact, and
+/// so is the fraction x - trunc(x) (it keeps a subset of x's significand
+/// bits). NaN and |x| >= 2^63 have no int64 value; they give INT64_MIN, the
+/// value std::llround returns for them on x86-64.
+constexpr std::int64_t round_half_away(double x) noexcept {
+  if (!(x > -0x1p63 && x < 0x1p63)) return INT64_MIN;
+  const auto i = static_cast<std::int64_t>(x);
+  const double frac = x - static_cast<double>(i);
+  return i + (frac >= 0.5) - (frac <= -0.5);
 }
 
 /// Wrap an angle to (-pi, pi].

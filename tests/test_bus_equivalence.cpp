@@ -17,6 +17,7 @@
 #include "cli/campaigns.hpp"
 #include "msg/bus.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -317,6 +318,197 @@ TEST(BusEquivalence, NestedSameTopicPublishKeepsOuterFrameIntact) {
   EXPECT_EQ(seen[1].second, msg::serialize(outer));
 }
 
+// --- wire encoder vs a byte-at-a-time reference ---------------------------
+// The frames are written with one fixed-width word store per field. The
+// reference below appends each field byte by byte, least significant first,
+// in the schema's historical field order, so it pins the wire format
+// independently of msg::WireLayout.
+
+class ByteEncoder {
+ public:
+  void u64(std::uint64_t v) { le(v, 8); }
+  void u32(std::uint32_t v) { le(v, 4); }
+  void f64(double v) { le(std::bit_cast<std::uint64_t>(v), 8); }
+  void b(bool v) { out.push_back(v ? 1 : 0); }
+  std::vector<std::uint8_t> out;
+
+ private:
+  void le(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+};
+
+std::vector<std::uint8_t> reference_bytes(const msg::GpsLocationExternal& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.f64(m.latitude);
+  e.f64(m.longitude);
+  e.f64(m.speed);
+  e.f64(m.bearing);
+  e.b(m.has_fix);
+  return e.out;
+}
+std::vector<std::uint8_t> reference_bytes(const msg::ModelV2& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.f64(m.left_lane_line);
+  e.f64(m.right_lane_line);
+  e.f64(m.left_line_prob);
+  e.f64(m.right_line_prob);
+  e.f64(m.path_curvature);
+  e.f64(m.path_heading_error);
+  return e.out;
+}
+std::vector<std::uint8_t> reference_bytes(const msg::RadarState& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.b(m.lead_valid);
+  e.f64(m.lead_distance);
+  e.f64(m.lead_rel_speed);
+  e.f64(m.lead_speed);
+  return e.out;
+}
+std::vector<std::uint8_t> reference_bytes(const msg::CarState& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.f64(m.speed);
+  e.f64(m.accel);
+  e.f64(m.steer_angle);
+  e.f64(m.cruise_speed);
+  e.b(m.cruise_enabled);
+  e.f64(m.driver_torque);
+  return e.out;
+}
+std::vector<std::uint8_t> reference_bytes(const msg::CarControl& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.b(m.enabled);
+  e.f64(m.accel);
+  e.f64(m.steer_angle);
+  return e.out;
+}
+std::vector<std::uint8_t> reference_bytes(const msg::ControlsState& m) {
+  ByteEncoder e;
+  e.u64(m.mono_time);
+  e.b(m.active);
+  e.b(m.steer_saturated);
+  e.b(m.fcw);
+  e.u32(m.alert_count);
+  return e.out;
+}
+
+/// Field values for the differential: random bit patterns (which include
+/// NaNs with arbitrary payloads and subnormals) mixed with the IEEE-754
+/// edge cases and the extreme integers.
+class FieldSource {
+ public:
+  explicit FieldSource(std::uint64_t seed) : rng_(seed) {}
+
+  double f64() {
+    static constexpr std::uint64_t kSpecial[] = {
+        0x0000'0000'0000'0000ull,  // +0
+        0x8000'0000'0000'0000ull,  // -0
+        0x7FF0'0000'0000'0000ull,  // +inf
+        0xFFF0'0000'0000'0000ull,  // -inf
+        0x7FF8'0000'0000'0000ull,  // quiet NaN
+        0xFFF8'0000'0000'0001ull,  // negative quiet NaN with a payload
+        0x7FF4'0000'0000'0001ull,  // signaling NaN pattern
+        0x0000'0000'0000'0001ull,  // smallest subnormal
+        0x800F'FFFF'FFFF'FFFFull,  // largest negative subnormal
+        0x0010'0000'0000'0000ull,  // smallest normal
+        0x7FEF'FFFF'FFFF'FFFFull,  // largest finite
+    };
+    const int pick = rng_.uniform_int(0, 3);
+    if (pick == 0)
+      return std::bit_cast<double>(
+          kSpecial[rng_.uniform_int(0, std::size(kSpecial) - 1)]);
+    if (pick == 1) return std::bit_cast<double>(rng_.next());
+    return rng_.uniform(-1e3, 1e3);
+  }
+  std::uint64_t u64() {
+    return rng_.uniform_int(0, 3) == 0 ? ~0ull : rng_.next();
+  }
+  std::uint32_t u32() {
+    return rng_.uniform_int(0, 3) == 0
+               ? ~0u
+               : static_cast<std::uint32_t>(rng_.next());
+  }
+  bool b() { return rng_.uniform_int(0, 1) == 1; }
+
+ private:
+  util::Rng rng_;
+};
+
+/// Every published frame must equal the reference bytes, and serialize()
+/// and the raw-tap frame must agree; decoding gives the fields back bit
+/// for bit.
+template <typename M>
+void expect_wire_matches_reference(msg::PubSubBus& bus, const M& m,
+                                   const std::vector<std::uint8_t>& tapped) {
+  const std::vector<std::uint8_t> want = reference_bytes(m);
+  ASSERT_EQ(want.size(), msg::WireSizeOf<M>::value);
+  EXPECT_EQ(msg::serialize(m), want);
+  bus.publish(m);
+  EXPECT_EQ(tapped, want);
+  M back{};
+  msg::deserialize(want, back);
+  EXPECT_EQ(reference_bytes(back), want);
+}
+
+TEST(WireDifferential, EveryMessageMatchesByteAtATimeReference) {
+  FieldSource src(34);
+  msg::PubSubBus bus;
+  std::vector<std::uint8_t> tapped;
+  for (std::size_t t = 1; t <= msg::kTopicCount; ++t) {
+    bus.subscribe_raw(static_cast<msg::Topic>(t),
+                      [&tapped](const msg::WireFrame& f) {
+                        tapped.assign(f.payload.begin(), f.payload.end());
+                      });
+  }
+  for (int i = 0; i < 2000; ++i) {
+    SCOPED_TRACE(i);
+    expect_wire_matches_reference(
+        bus,
+        msg::GpsLocationExternal{src.u64(), src.f64(), src.f64(), src.f64(),
+                                 src.f64(), src.b()},
+        tapped);
+    expect_wire_matches_reference(
+        bus,
+        msg::ModelV2{src.u64(), src.f64(), src.f64(), src.f64(), src.f64(),
+                     src.f64(), src.f64()},
+        tapped);
+    expect_wire_matches_reference(
+        bus,
+        msg::RadarState{src.u64(), src.b(), src.f64(), src.f64(), src.f64()},
+        tapped);
+    expect_wire_matches_reference(
+        bus,
+        msg::CarState{src.u64(), src.f64(), src.f64(), src.f64(), src.f64(),
+                      src.b(), src.f64()},
+        tapped);
+    expect_wire_matches_reference(
+        bus, msg::CarControl{src.u64(), src.b(), src.f64(), src.f64()},
+        tapped);
+    expect_wire_matches_reference(
+        bus,
+        msg::ControlsState{src.u64(), src.b(), src.b(), src.b(), src.u32()},
+        tapped);
+  }
+}
+
+TEST(WireDifferential, TruncatedFramesThrow) {
+  const std::vector<std::uint8_t> frame =
+      msg::serialize(msg::CarState{7, 1.0, 2.0, 3.0, 4.0, true, 5.0});
+  msg::CarState m;
+  for (std::size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_THROW(msg::deserialize(std::span(frame.data(), n), m),
+                 std::out_of_range)
+        << n;
+  }
+  EXPECT_NO_THROW(msg::deserialize(frame, m));
+}
+
 // --- zero-allocation proofs (process-wide counting operator new) ----------
 // Both tests drive cli::bus_tick_workload — the exact steady-state publish
 // mix behind perfbench's msg.publish_typed_op_ns / msg.publish_wire_op_ns
@@ -348,8 +540,8 @@ TEST(BusEquivalence, TypedPublishDoesNotAllocate) {
 }
 
 TEST(BusEquivalence, TappedSteadyStateDoesNotAllocate) {
-  // With a raw tap attached, each publish serializes — but into the
-  // per-topic scratch buffer, which after warm-up never reallocates.
+  // With a raw tap attached, each publish serializes — but into a
+  // fixed-size frame on the stack, never the heap.
   msg::PubSubBus bus;
   msg::Latest<msg::CarState> cs(bus);
   std::uint64_t byte_sum = 0;

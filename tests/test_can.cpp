@@ -6,6 +6,9 @@
 #include "can/checksum.hpp"
 #include "can/database.hpp"
 #include "can/packer.hpp"
+#include "exp/campaign.hpp"
+#include "fault/plan.hpp"
+#include "sim/world.hpp"
 
 namespace {
 
@@ -243,6 +246,52 @@ TEST(Bus, ToStringFormat) {
   f.dlc = 2;
   f.data = {0xAB, 0xCD};
   EXPECT_EQ(can::to_string(f), "0E4#2/ABCD");
+}
+
+// --- frames claiming more than 8 data bytes --------------------------------
+
+TEST(CanBusDlc, OversizedFramesAreDroppedAndCounted) {
+  // A World whose every CAN opportunity corrupts a payload bit: the fault
+  // hook, the attacker's interceptor, the defense-style tap and the gateway
+  // all index the payload by the DLC, so a frame claiming 9 or 255 bytes
+  // must reach none of them.
+  exp::CampaignItem item;
+  item.strategy = attack::StrategyKind::kContextAware;
+  item.seed = 9;
+  sim::WorldConfig cfg = exp::world_config_for(item);
+  cfg.fault_plan = std::make_shared<fault::FaultPlan>(
+      fault::FaultPlan::parse_text("can_corrupt rate=1\n", "corrupt"));
+  sim::World world(cfg);
+  std::uint64_t tapped = 0;
+  world.can().attach_tap([&](const can::CanFrame& f) {
+    ASSERT_LE(f.dlc, can::kMaxDlc);
+    ++tapped;
+  });
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(world.step());
+
+  const auto corrupt = fault::fault_index(fault::FaultKind::kCanCorrupt);
+  const sim::SimulationSummary before = world.summarize();
+  const std::uint64_t tapped_before = tapped;
+  const std::uint64_t sent_before = world.can().frames_sent();
+  ASSERT_GT(before.faults_fired[corrupt], 0u);
+  for (const std::uint8_t dlc : {std::uint8_t{9}, std::uint8_t{255}}) {
+    can::CanFrame frame;
+    frame.id = can::msg_id::kSteeringControl;
+    frame.dlc = dlc;
+    frame.data = {1, 2, 3, 4, 5, 6, 7, 8};
+    EXPECT_FALSE(world.can().send(frame)) << int{dlc};
+  }
+  EXPECT_EQ(world.can().frames_malformed(), 2u);
+  EXPECT_EQ(world.can().frames_sent(), sent_before + 2);
+  EXPECT_EQ(tapped, tapped_before);
+  const sim::SimulationSummary after = world.summarize();
+  EXPECT_EQ(after.faults_fired[corrupt], before.faults_fired[corrupt]);
+  EXPECT_EQ(after.can_checksum_rejects, before.can_checksum_rejects);
+
+  // The bus carries on: the next tick's command frames flow as before.
+  ASSERT_TRUE(world.step());
+  EXPECT_EQ(tapped, tapped_before + 2);
+  EXPECT_EQ(world.can().frames_malformed(), 2u);
 }
 
 }  // namespace

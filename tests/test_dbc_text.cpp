@@ -38,12 +38,12 @@ TEST(DbcText, ParsesMessagesAndSignals) {
   EXPECT_EQ(messages[0].size, 5);
   ASSERT_EQ(messages[0].signals.size(), 2u);
   const auto& angle = messages[0].signals[0];
-  EXPECT_EQ(angle.name, "STEER_ANGLE_CMD");
-  EXPECT_EQ(angle.start_bit, 7);
-  EXPECT_EQ(angle.size, 16);
-  EXPECT_EQ(angle.order, can::ByteOrder::kBigEndian);
-  EXPECT_TRUE(angle.is_signed);
-  EXPECT_DOUBLE_EQ(angle.factor, 0.01);
+  EXPECT_EQ(angle.name(), "STEER_ANGLE_CMD");
+  EXPECT_EQ(angle.start_bit(), 7);
+  EXPECT_EQ(angle.size(), 16);
+  EXPECT_EQ(angle.order(), can::ByteOrder::kBigEndian);
+  EXPECT_TRUE(angle.is_signed());
+  EXPECT_DOUBLE_EQ(angle.factor(), 0.01);
   EXPECT_EQ(messages[1].name, "GAS_BRAKE_COMMAND");
   EXPECT_EQ(messages[1].id, 506u);
 }
@@ -53,9 +53,9 @@ TEST(DbcText, LittleEndianAndOffset) {
       "BO_ 100 M: 8 X\n SG_ S : 4|12@1+ (0.5,10) [10|2057.5] \"\" Y\n");
   ASSERT_EQ(messages.size(), 1u);
   const auto& s = messages[0].signals.at(0);
-  EXPECT_EQ(s.order, can::ByteOrder::kLittleEndian);
-  EXPECT_FALSE(s.is_signed);
-  EXPECT_DOUBLE_EQ(s.offset, 10.0);
+  EXPECT_EQ(s.order(), can::ByteOrder::kLittleEndian);
+  EXPECT_FALSE(s.is_signed());
+  EXPECT_DOUBLE_EQ(s.offset(), 10.0);
 }
 
 TEST(DbcText, RejectsMalformedInput) {

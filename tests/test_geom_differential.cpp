@@ -363,6 +363,56 @@ TEST(ProjectDifferential, PaperRoadWorkloadIsBitExact) {
   }
 }
 
+TEST(ProjectDifferential, SegmentHintNeverChangesTheResult) {
+  // The same perfbench query stream, projected the way FrenetFrame does:
+  // with the previous projection's arc length AND segment. A segment hint
+  // only seeds the walk to the segment at hint_s, so every hint — the
+  // true one, none, stale by a few or many segments, or past the end —
+  // must give project_reference's result bit for bit.
+  const road::Road road = road::RoadBuilder::paper_road();
+  const Polyline& line = road.reference();
+  const std::size_t nseg = line.size() - 1;
+  constexpr std::size_t kLanes = 4;
+  constexpr std::size_t kTicks = 500;
+  const std::vector<Vec2> points =
+      cli::projection_workload(line, kTicks, kLanes);
+
+  std::vector<double> hint_s(kLanes, -1.0);
+  std::vector<std::size_t> hint_seg(kLanes, Polyline::kNoSegmentHint);
+  std::vector<geom::FrenetFrame> frames(kLanes, geom::FrenetFrame(line));
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      SCOPED_TRACE(testing::Message() << "t=" << t << " lane=" << l);
+      const Vec2 p = points[t * kLanes + l];
+      const auto want = line.project_reference(p);
+      const auto unhinted = line.project(p, hint_s[l]);
+      const std::size_t seg = hint_seg[l];
+      const bool none = seg == Polyline::kNoSegmentHint;
+      const std::size_t stale[] = {seg,
+                                   Polyline::kNoSegmentHint,
+                                   0,
+                                   none ? 0 : seg + 3,
+                                   none || seg < 40 ? 1 : seg - 40,
+                                   nseg - 1,
+                                   nseg + 5,
+                                   Polyline::kNoSegmentHint - 1};
+      for (const std::size_t h : stale) {
+        const auto got = line.project(p, hint_s[l], h);
+        EXPECT_EQ(got.s, want.s) << "segment hint " << h;
+        EXPECT_EQ(got.lateral, want.lateral) << "segment hint " << h;
+        EXPECT_EQ(got.closest.x, want.closest.x) << "segment hint " << h;
+        EXPECT_EQ(got.closest.y, want.closest.y) << "segment hint " << h;
+        EXPECT_EQ(got.segment, unhinted.segment) << "segment hint " << h;
+      }
+      const geom::FrenetPoint f = frames[l].to_frenet(p);
+      EXPECT_EQ(f.s, want.s);
+      EXPECT_EQ(f.d, want.lateral);
+      hint_s[l] = unhinted.s;
+      hint_seg[l] = unhinted.segment;
+    }
+  }
+}
+
 TEST(ProjectDifferential, OffEndPointsClampToEndpoints) {
   util::Rng rng(8);
   auto fork = rng.fork(11);
