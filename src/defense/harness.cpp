@@ -49,8 +49,7 @@ DefenseOutcome DefenseHarness::run(sim::SimulationSummary* summary_out) {
     mon.context = inference_.infer(world_->time());
     mon.wire_accel = wire_accel_;
     mon.wire_steer = wire_steer_;
-    mon.nominal_steer = std::atan(
-        2.7 * world_->road().curvature_at(ego.s));
+    mon.nominal_steer = std::atan(2.7 * ego.road_curvature);
     // Age of the oldest eavesdropped context input: each latched message
     // is stamped with its publish step (mono_time, 10 ms steps). A lossy
     // or faulted bus starves these latches; the monitor's degraded mode

@@ -66,9 +66,10 @@ struct RealtimeReport {
   double period_s = 0.01;
 
   /// phases[0] is the whole tick; the rest decompose it along the
-  /// World::step phase boundaries: "traffic" (begin_tick: road queries
-  /// and the traffic vehicles' dynamics), "project_sweep" (project_traffic
-  /// plus project_ego: every moved vehicle's Frenet refresh), "ego"
+  /// World::step phase boundaries: "traffic" (begin_tick: the traffic
+  /// vehicles' control laws and dynamics), "project_sweep"
+  /// (project_traffic plus project_ego: every moved vehicle's Frenet
+  /// refresh and road sample), "ego"
   /// (mid_tick: sensors, bus publish, attack, ADAS planners and controls,
   /// driver, Ego dynamics), "monitor" (end_tick: hazard/safety
   /// monitoring).

@@ -1,6 +1,7 @@
 #include "fault/plan.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -39,7 +40,8 @@ constexpr TargetName kTargetNames[4] = {
     {FaultTarget::kRadar, "radar"},
 };
 
-/// Strict double parse: the whole token must be consumed.
+/// Strict double parse: the whole token must be consumed and the value
+/// must be finite (strtod also reads "nan" and "inf").
 bool parse_double(std::string_view text, double& out) noexcept {
   if (text.empty() || text.size() > 64) return false;
   char buf[65];
@@ -48,7 +50,8 @@ bool parse_double(std::string_view text, double& out) noexcept {
   errno = 0;
   char* end = nullptr;
   const double value = std::strtod(buf, &end);
-  if (end != buf + text.size() || errno == ERANGE) return false;
+  if (end != buf + text.size() || errno == ERANGE || !std::isfinite(value))
+    return false;
   out = value;
   return true;
 }

@@ -96,8 +96,9 @@ class FaultPlan {
   /// Parse a plan file. One spec per line:
   ///   <kind> [window=<t0>:<t1>] [rate=<p>] [ticks=<n>] [mag=<x>]
   ///          [bias=<x>] [target=<all|gps|camera|radar>]
-  /// Blank lines and `#` comments are ignored. Throws FaultPlanError with
-  /// "<path>:<line>: <reason>" on any malformed input.
+  /// Blank lines and `#` comments are ignored; every number must be
+  /// finite. Throws FaultPlanError with "<path>:<line>: <reason>" on any
+  /// malformed input.
   static FaultPlan parse_file(const std::string& path);
 
   /// parse_file's core, on in-memory text (@p path only labels errors).

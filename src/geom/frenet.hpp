@@ -23,8 +23,11 @@ struct FrenetPoint {
 /// Keeps the last projection as a hint, making per-tick conversions O(1).
 class FrenetFrame {
  public:
-  /// Reference line is borrowed; it must outlive the frame.
-  explicit FrenetFrame(const Polyline& reference) : ref_(&reference) {}
+  /// Reference line is borrowed; it must outlive the frame. @p hint_s
+  /// seeds the first conversion's search (negative: full search), e.g.
+  /// with the arc length a vehicle is placed at.
+  explicit FrenetFrame(const Polyline& reference, double hint_s = -1.0)
+      : ref_(&reference), hint_s_(hint_s) {}
 
   /// Convert a world position to Frenet coordinates: project it onto the
   /// reference line, seeded with the previous conversion's arc length and
@@ -32,12 +35,13 @@ class FrenetFrame {
   FrenetPoint to_frenet(Vec2 world) noexcept;
 
   /// Search hint for the next projection: arc length of the last
-  /// conversion, or negative before any (full search).
+  /// conversion, or the constructor's seed before any (negative: full
+  /// search).
   double hint() const noexcept { return hint_s_; }
 
   /// Segment index of the last conversion, or Polyline::kNoSegmentHint
-  /// before any. Seeds the hinted heading / curvature queries so per-tick
-  /// road sampling skips the segment search.
+  /// before any. Seeds Polyline::sample at the converted arc length, so
+  /// per-tick road sampling skips the segment search.
   std::size_t hint_segment() const noexcept { return hint_segment_; }
 
   /// The reference line this frame projects onto.
@@ -46,22 +50,12 @@ class FrenetFrame {
   /// Convert Frenet coordinates to a world position.
   Vec2 to_world(FrenetPoint f) const noexcept;
 
-  /// Approximate signed curvature of the reference line at @p s
-  /// (finite difference of heading; positive = left curve).
-  double curvature_at(double s, double ds = 1.0) const noexcept;
-
-  /// curvature_at(s, ds), seeded with a segment index near s. The hint
-  /// only starts the segment walk, so the result is bit-identical to the
-  /// unhinted overload for any hint (including Polyline::kNoSegmentHint).
-  double curvature_at(double s, double ds,
-                      std::size_t segment_hint) const noexcept;
-
   /// Total reference-line length.
   double length() const noexcept { return ref_->length(); }
 
  private:
   const Polyline* ref_;
-  double hint_s_ = -1.0;
+  double hint_s_;
   std::size_t hint_segment_ = Polyline::kNoSegmentHint;
 };
 

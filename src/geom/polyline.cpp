@@ -5,13 +5,15 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/math.hpp"
+
 namespace scaa::geom {
 
 namespace {
 
-/// Half-width (in segments) of the first widening window, tried when the
-/// centre segment of a hinted projection is not the nearest of its three;
-/// stale hints widen from here.
+/// Half-width (in segments) of the first widening window, tried when
+/// neither the centre segment of a hinted projection nor the next one is
+/// the nearest of centre - 1 ... centre + 2; stale hints widen from here.
 constexpr std::size_t kHintWindow = 4;
 
 }  // namespace
@@ -78,8 +80,9 @@ std::size_t Polyline::segment_index_near(double s,
   // Identical monotone walk to segment_index(), started from the hint
   // instead of the scaled guess: the walk converges to the unique i with
   // cum_[i] <= s < cum_[i+1] from any starting segment, so the two
-  // functions always agree. Callers pass the segment of a projection whose
-  // s is within a tick of this query, making the walk O(1).
+  // functions always agree. Callers pass a segment within a few of s,
+  // making the walk O(1).
+  if (hint == kNoSegmentHint) return segment_index(s);
   const std::size_t last = pts_.size() - 2;
   std::size_t i = hint > last ? last : hint;
   while (i < last && cum_[i + 1] <= s) ++i;
@@ -105,11 +108,24 @@ double Polyline::heading_at(double s) const noexcept {
   return headings_[segment_index(s)];
 }
 
-double Polyline::heading_at(double s, std::size_t segment_hint) const noexcept {
-  if (segment_hint == kNoSegmentHint) return heading_at(s);
-  if (s <= 0.0) return headings_.front();
-  if (s >= length()) return headings_.back();
-  return headings_[segment_index_near(s, segment_hint)];
+Polyline::Sample Polyline::sample(double s, double ds,
+                                  std::size_t segment_hint) const noexcept {
+  // heading_at(s) is headings_[segment_index(s)] for every s: beyond the
+  // ends the walk already stops on the first / last segment.
+  const std::size_t i = segment_index_near(s, segment_hint);
+  Sample out;
+  out.heading = headings_[i];
+  const double s0 = s - 0.5 * ds < 0.0 ? 0.0 : s - 0.5 * ds;
+  const double s1 = s0 + ds > length() ? length() : s0 + ds;
+  if (s1 - s0 < 1e-9) return out;
+  // s0 and s1 lie about ds/2 of mean spacing either side of segment i, so
+  // their walks start there and end on the same segments as a fresh search.
+  const auto shift = static_cast<std::size_t>(0.5 * ds * inv_mean_seg_);
+  const double h0 =
+      headings_[segment_index_near(s0, i > shift ? i - shift : 0)];
+  const double h1 = headings_[segment_index_near(s1, i + shift)];
+  out.curvature = math::wrap_angle(h1 - h0) / (s1 - s0);
+  return out;
 }
 
 std::size_t Polyline::best_segment(Vec2 p, std::size_t lo,
@@ -228,15 +244,15 @@ Polyline::Projection Polyline::project(
   if (hint_s >= 0.0 && nseg > 2 * kHintWindow) {
     // Clamps past the end; a segment hint only seeds the walk, which ends
     // on the same index from any start.
-    const std::size_t center = hint_segment == kNoSegmentHint
-                                   ? segment_index(hint_s)
-                                   : segment_index_near(hint_s, hint_segment);
-    // A hinted query usually lands on the centre segment: scan it and its
-    // two neighbours first, and accept it under the same interior rule as
-    // the windows.
-    if (center > 0 && center + 1 < nseg &&
-        best_segment(p, center - 1, center + 2) == center)
-      return finalize(p, center);
+    const std::size_t center = segment_index_near(hint_s, hint_segment);
+    // A vehicle advances less than a segment per tick, so a hinted query
+    // usually lands on the centre segment or the next one: scan
+    // centre - 1 ... centre + 2 first and accept either, both interior to
+    // that window under the same rule as the windows below.
+    if (center > 0 && center + 2 < nseg) {
+      const std::size_t best = best_segment(p, center - 1, center + 3);
+      if (best == center || best == center + 1) return finalize(p, best);
+    }
     for (std::size_t w = kHintWindow;; w *= 4) {
       const std::size_t lo = center > w ? center - w : 0;
       const std::size_t hi = std::min(center + w + 1, nseg);

@@ -42,15 +42,25 @@ class Polyline {
   /// last segment's heading beyond the ends).
   double heading_at(double s) const noexcept;
 
-  /// Sentinel for "no segment hint" in the hinted query overloads below.
+  /// Sentinel for "no segment hint" in the hinted queries below.
   static constexpr std::size_t kNoSegmentHint = static_cast<std::size_t>(-1);
 
-  /// heading_at(s), but seeded with a segment index near s — typically the
-  /// segment of a recent projection. The hint is only a starting point for
-  /// the same monotone walk segment_index() performs, so the result is
-  /// bit-identical to heading_at(s) for ANY hint value (kNoSegmentHint
-  /// falls back to the scaled-guess search).
-  double heading_at(double s, std::size_t segment_hint) const noexcept;
+  /// The reference line's heading and curvature at one arc length.
+  struct Sample {
+    double heading = 0.0;    ///< heading_at(s) [rad]
+    double curvature = 0.0;  ///< signed, +left [1/m]
+  };
+
+  /// heading_at(s) plus the curvature over a baseline @p ds centred on s:
+  /// the heading difference between s0 = max(s - ds/2, 0) and
+  /// s1 = min(s0 + ds, length), wrapped, over s1 - s0 (zero when the
+  /// clamped baseline is shorter than 1e-9). @p segment_hint, a segment
+  /// near s (typically the segment of a recent projection), seeds the walk
+  /// to the segment at s; the walks to s0 and s1 start from that segment
+  /// shifted by ds/2 of mean spacing. The walk ends on the same segment
+  /// from any start, so the result is bit-identical for ANY hint value
+  /// (kNoSegmentHint falls back to the scaled-guess search).
+  Sample sample(double s, double ds, std::size_t segment_hint) const noexcept;
 
   /// Projection result of a world point onto the polyline.
   struct Projection {
@@ -66,18 +76,19 @@ class Polyline {
   /// (pass a negative value for a full search); @p hint_segment, that
   /// projection's segment, lets the search find the segment at hint_s
   /// without the scaled-guess walk. The search centres on the segment at
-  /// hint_s and first scans it with its two neighbours: when the centre is
-  /// the nearest of the three, it is the answer. Otherwise it scans a
-  /// window of +/-4 segments around the centre and accepts the result only
-  /// when the best segment is interior to the window; a best on the
-  /// window's first/last searched segment means the true minimum may lie
-  /// beyond it, so the window is widened fourfold and the scan retried
-  /// until the best is interior or the window covers the whole polyline.
-  /// The simulation steps vehicles less than a segment per tick, so the
-  /// hinted search is O(1) amortized and exact; even a teleported point
-  /// recovers unless the geometry folds back on itself closer than the
-  /// point's offset (pass hint_s < 0 there). The segment hint never changes
-  /// the result: any value, stale or out of range, finds the same centre.
+  /// hint_s and first scans centre - 1 ... centre + 2: a vehicle advances
+  /// less than a segment per tick, so its nearest segment is usually the
+  /// centre or the next one, and either is accepted as interior to that
+  /// window. Otherwise it scans a window of +/-4 segments around the centre
+  /// and accepts the result only when the best segment is interior to the
+  /// window; a best on the window's first/last searched segment means the
+  /// true minimum may lie beyond it, so the window is widened fourfold and
+  /// the scan retried until the best is interior or the window covers the
+  /// whole polyline. The hinted search is O(1) amortized and exact; even a
+  /// teleported point recovers unless the geometry folds back on itself
+  /// closer than the point's offset (pass hint_s < 0 there). The segment
+  /// hint never changes the result: any value, stale or out of range, finds
+  /// the same centre.
   Projection project(Vec2 p, double hint_s = -1.0,
                      std::size_t hint_segment = kNoSegmentHint) const noexcept;
 
@@ -93,8 +104,9 @@ class Polyline {
   std::size_t segment_index(double s) const noexcept;
 
   /// segment_index(s) seeded with a caller-supplied starting segment
-  /// instead of the scaled guess. Runs the identical monotone walk, so it
-  /// returns the identical index for any in-range starting point.
+  /// instead of the scaled guess (kNoSegmentHint: the guess). Runs the
+  /// identical monotone walk, so it returns the identical index for any
+  /// starting point, in range or not.
   std::size_t segment_index_near(double s, std::size_t hint) const noexcept;
 
   /// SoA distance scan over segments [lo, hi): returns the index of the

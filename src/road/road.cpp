@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "util/math.hpp"
-
 namespace scaa::road {
 
 double RoadProfile::width() const noexcept {
@@ -40,16 +38,6 @@ Road::Road(geom::Polyline reference, RoadProfile profile)
     throw std::invalid_argument("Road: lane_width must be positive");
   if (profile_.guardrail_margin < 0.0)
     throw std::invalid_argument("Road: guardrail_margin must be >= 0");
-}
-
-double Road::curvature_at(double s) const noexcept {
-  geom::FrenetFrame frame(reference_);
-  return frame.curvature_at(s, 2.0);
-}
-
-double Road::curvature_at(double s, std::size_t segment_hint) const noexcept {
-  geom::FrenetFrame frame(reference_);
-  return frame.curvature_at(s, 2.0, segment_hint);
 }
 
 int Road::lane_at(double d) const noexcept {

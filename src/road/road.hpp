@@ -17,7 +17,6 @@
 
 #include <cstddef>
 
-#include "geom/frenet.hpp"
 #include "geom/polyline.hpp"
 
 namespace scaa::road {
@@ -45,7 +44,7 @@ struct RoadProfile {
   double width() const noexcept;
 };
 
-/// A road: reference polyline + profile + cached Frenet frame.
+/// A road: reference polyline + profile.
 /// The class owns its geometry; queries are const and thread-compatible
 /// (create one FrenetFrame per consumer for hint locality).
 class Road {
@@ -58,13 +57,16 @@ class Road {
   /// Total drivable length.
   double length() const noexcept { return reference_.length(); }
 
-  /// Signed curvature at arc length s (positive = left curve).
-  double curvature_at(double s) const noexcept;
+  /// Baseline [m] of the road curvature finite difference.
+  static constexpr double kCurvatureBaseline = 2.0;
 
-  /// curvature_at(s), seeded with a segment index near s (typically from a
-  /// projection of the querying vehicle). Bit-identical result for any
-  /// hint, including geom::Polyline::kNoSegmentHint.
-  double curvature_at(double s, std::size_t segment_hint) const noexcept;
+  /// Road heading and signed curvature (positive = left curve) at arc
+  /// length @p s: geom::Polyline::sample over kCurvatureBaseline. @p hint
+  /// is a segment near s (geom::Polyline::kNoSegmentHint for none); the
+  /// result is bit-identical for any hint.
+  geom::Polyline::Sample sample(double s, std::size_t hint) const noexcept {
+    return reference_.sample(s, kCurvatureBaseline, hint);
+  }
 
   /// Lane containing lateral offset @p d, or -1 when off the carriageway.
   int lane_at(double d) const noexcept;
@@ -76,17 +78,6 @@ class Road {
 
   /// True when offset @p d (plus half-width) reaches a guardrail face.
   bool hits_guardrail(double d, double half_width) const noexcept;
-
-  /// Heading of the road at arc length s.
-  double heading_at(double s) const noexcept {
-    return reference_.heading_at(s);
-  }
-
-  /// heading_at(s), seeded with a segment index near s. Bit-identical
-  /// result for any hint (see geom::Polyline::heading_at overloads).
-  double heading_at(double s, std::size_t segment_hint) const noexcept {
-    return reference_.heading_at(s, segment_hint);
-  }
 
  private:
   geom::Polyline reference_;

@@ -27,7 +27,7 @@ void CameraLaneModel::reset(const road::Road& road, CameraConfig config,
 
 msg::ModelV2 CameraLaneModel::make_measurement(
     std::uint64_t step_index, const vehicle::VehicleState& truth,
-    std::size_t ego_lane, RoadSample road) {
+    std::size_t ego_lane) {
   const auto& profile = road_->profile();
 
   // Ornstein-Uhlenbeck bias update at the frame rate: mean-reverting walk
@@ -37,7 +37,7 @@ msg::ModelV2 CameraLaneModel::make_measurement(
   const double diffusion = config_.bias_std * std::sqrt(2.0 * theta * dt);
   bias_ += -theta * bias_ * dt + rng_.gaussian(0.0, diffusion);
 
-  const double curvature = road.curvature;
+  const double curvature = truth.road_curvature;
 
   // True lateral offsets of the ego lane's lines in the vehicle frame
   // (+left of the vehicle centre).
@@ -53,7 +53,7 @@ msg::ModelV2 CameraLaneModel::make_measurement(
   m.path_curvature =
       curvature + rng_.gaussian(0.0, config_.curvature_noise_std);
   m.path_heading_error =
-      math::wrap_angle(road.heading - truth.pose.heading) +
+      math::wrap_angle(truth.road_heading - truth.pose.heading) +
       rng_.gaussian(0.0, config_.heading_noise_std);
 
   // Confidence: degraded on curves and, critically, when the car straddles
@@ -75,17 +75,9 @@ msg::ModelV2 CameraLaneModel::make_measurement(
 void CameraLaneModel::step(std::uint64_t step_index,
                            const vehicle::VehicleState& truth,
                            std::size_t ego_lane) {
-  if (step_index % steps_per_frame_ != 0) return;  // skip before querying
-  step(step_index, truth, ego_lane,
-       {road_->curvature_at(truth.s), road_->heading_at(truth.s)});
-}
-
-void CameraLaneModel::step(std::uint64_t step_index,
-                           const vehicle::VehicleState& truth,
-                           std::size_t ego_lane, RoadSample road) {
   if (step_index % steps_per_frame_ != 0) return;
 
-  delay_line_.push_back(make_measurement(step_index, truth, ego_lane, road));
+  delay_line_.push_back(make_measurement(step_index, truth, ego_lane));
 
   const auto latency_frames = static_cast<std::size_t>(
       config_.latency_steps / static_cast<double>(steps_per_frame_));

@@ -41,14 +41,6 @@ struct CameraConfig {
 /// Publishes modelV2 from ground truth with structured perception error.
 class CameraLaneModel {
  public:
-  /// Road-geometry queries at the truth position. The World computes these
-  /// once per tick (it needs them for the driver observation anyway) and
-  /// hands them down, so the camera issues no polyline searches of its own.
-  struct RoadSample {
-    double curvature = 0.0;  ///< [1/m] signed road curvature at truth.s
-    double heading = 0.0;    ///< [rad] road heading at truth.s
-  };
-
   CameraLaneModel(msg::PubSubBus& bus, const road::Road& road,
                   CameraConfig config, util::Rng rng);
 
@@ -59,13 +51,10 @@ class CameraLaneModel {
              util::Rng rng) noexcept;
 
   /// Advance one 10 ms step; publishes at the configured rate with latency.
-  /// Queries the road itself — for callers without a hoisted RoadSample.
+  /// The road geometry at the truth position comes from the truth's road
+  /// sample (truth.road_heading, truth.road_curvature).
   void step(std::uint64_t step_index, const vehicle::VehicleState& truth,
             std::size_t ego_lane);
-
-  /// As above, with the road queries precomputed by the caller.
-  void step(std::uint64_t step_index, const vehicle::VehicleState& truth,
-            std::size_t ego_lane, RoadSample road);
 
   /// Current value of the wandering bias [m] (exposed for tests).
   double bias() const noexcept { return bias_; }
@@ -80,7 +69,7 @@ class CameraLaneModel {
  private:
   msg::ModelV2 make_measurement(std::uint64_t step_index,
                                 const vehicle::VehicleState& truth,
-                                std::size_t ego_lane, RoadSample road);
+                                std::size_t ego_lane);
 
   msg::PubSubBus* bus_;
   const road::Road* road_;

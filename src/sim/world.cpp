@@ -12,21 +12,16 @@ namespace scaa::sim {
 namespace {
 
 /// Lane-tracking steering for scripted (non-ADAS) traffic: curvature
-/// feed-forward plus P on lateral offset and heading error. These vehicles
-/// are ideal drivers — all interesting imperfection lives in the Ego stack.
-/// The segment hint (each vehicle's cached Frenet segment) turns the two
-/// road queries into O(1) walks; the result is bit-identical to the
-/// unhinted lookup for any hint.
-double tracking_steer(const road::Road& road,
-                      const vehicle::VehicleState& state,
-                      double lane_center_d, double wheelbase,
-                      std::size_t segment_hint) {
+/// feed-forward plus P on lateral offset and heading error, from the road
+/// sample in the vehicle's Frenet state. These vehicles are ideal drivers —
+/// all interesting imperfection lives in the Ego stack.
+double tracking_steer(const vehicle::VehicleState& state,
+                      double lane_center_d, double wheelbase) {
   const double kp_offset = 0.015;
   const double kp_heading = 0.8;
-  const double road_heading = road.heading_at(state.s, segment_hint);
   const double heading_err =
-      math::wrap_angle(road_heading - state.pose.heading);
-  const double curvature = road.curvature_at(state.s, segment_hint) +
+      math::wrap_angle(state.road_heading - state.pose.heading);
+  const double curvature = state.road_curvature +
                            kp_offset * (lane_center_d - state.d) +
                            kp_heading * heading_err * 0.05;
   return std::atan(wheelbase * curvature);
@@ -265,8 +260,6 @@ void World::reset_in_place() {
   *monitor_ = SafetyMonitor(road, config_.monitor, /*ego_lane=*/0);
 
   // --- tick bookkeeping -----------------------------------------------------
-  tick_curvature_ = 0.0;
-  tick_heading_ = 0.0;
   time_ = 0.0;
   step_index_ = 0;
   finished_ = false;
@@ -281,17 +274,7 @@ const vehicle::VehicleState& World::ego_state() const noexcept {
 }
 
 void World::begin_tick() {
-  // Road queries at the Ego's (pre-step) arc length, looked up once per
-  // tick and shared by the camera model and the driver observation in
-  // mid_tick (hinted by the Ego's cached Frenet segment, so each is an
-  // O(1) walk instead of a fresh segment search).
-  const double ego_s = ego_->state().s;
-  const std::size_t ego_seg = ego_->frenet_segment();
-  tick_curvature_ = road_->curvature_at(ego_s, ego_seg);
-  tick_heading_ = road_->heading_at(ego_s, ego_seg);
-
   const double dt = config_.dt;
-  const road::Road& road = *road_;
   const auto wheelbase = config_.ego_params.wheelbase;
 
   // Every command below reads only pre-step state (the trailing and
@@ -301,8 +284,7 @@ void World::begin_tick() {
   {
     vehicle::ActuatorCommand cmd;
     cmd.accel = lead_accel(config_.scenario.lead, time_, lead_->state().speed);
-    cmd.steer_angle = tracking_steer(road, lead_->state(), lane0_center_,
-                                     wheelbase, lead_->frenet_segment());
+    cmd.steer_angle = tracking_steer(lead_->state(), lane0_center_, wheelbase);
     lead_->integrate(cmd, dt);
   }
   if (has_trailing_) {
@@ -312,8 +294,8 @@ void World::begin_tick() {
     vehicle::ActuatorCommand cmd;
     cmd.accel =
         trailing_accel(gap, trailing_->state().speed, ego_->state().speed);
-    cmd.steer_angle = tracking_steer(road, trailing_->state(), lane0_center_,
-                                     wheelbase, trailing_->frenet_segment());
+    cmd.steer_angle =
+        tracking_steer(trailing_->state(), lane0_center_, wheelbase);
     trailing_->integrate(cmd, dt);
   }
   if (has_neighbor_) {
@@ -327,8 +309,8 @@ void World::begin_tick() {
         0.6 * (ego_->state().speed - neighbor_->state().speed) +
             0.05 * (desired_s - neighbor_->state().s),
         -4.0, 2.0);
-    cmd.steer_angle = tracking_steer(road, neighbor_->state(), lane1_center_,
-                                     wheelbase, neighbor_->frenet_segment());
+    cmd.steer_angle =
+        tracking_steer(neighbor_->state(), lane1_center_, wheelbase);
     neighbor_->integrate(cmd, dt);
   }
 }
@@ -339,17 +321,15 @@ void World::project_traffic() {
   if (has_neighbor_) neighbor_->refresh_frenet();
 }
 
-void World::publish_sensors(double road_curvature, double road_heading) {
+void World::publish_sensors() {
   const auto& ego = ego_->state();
   gps_->step(step_index_, ego);
 
   // The camera anchors to whatever lane the car currently occupies (lane
-  // re-lock after a departure), holding the last lane when off-road. Road
-  // queries at the Ego's arc length are hoisted by the caller.
+  // re-lock after a departure), holding the last lane when off-road.
   const int lane_now = road_->lane_at(ego.d);
   if (lane_now >= 0) camera_lane_ = static_cast<std::size_t>(lane_now);
-  camera_->step(step_index_, ego, camera_lane_,
-                {road_curvature, road_heading});
+  camera_->step(step_index_, ego, camera_lane_);
 
   std::optional<sensors::RadarModel::LeadTruth> lead_truth;
   if (lead_) {
@@ -384,7 +364,7 @@ void World::mid_tick() {
     can_bus_.pump_delayed(step_index_);
   }
 
-  publish_sensors(tick_curvature_, tick_heading_);
+  publish_sensors();
 
   if (config_.attack_enabled) attack_engine_->step(time_, config_.dt);
 
@@ -395,24 +375,24 @@ void World::mid_tick() {
 
   // Driver observation & possible takeover. The driver judges the commands
   // the car is executing (pedal/wheel positions) and the physical motion.
+  const vehicle::VehicleState& ego = ego_->state();
   driver::DriverObservation obs;
   obs.adas_alert = controls_->alerts().any_active();
   obs.accel_cmd = gateway_accel_cmd_;
   obs.steer_cmd = gateway_steer_cmd_;
   obs.nominal_steer =
-      std::atan(config_.ego_params.wheelbase * tick_curvature_);
-  obs.speed = ego_->state().speed;
+      std::atan(config_.ego_params.wheelbase * ego.road_curvature);
+  obs.speed = ego.speed;
   obs.cruise_speed = config_.scenario.cruise_speed;
-  obs.center_offset = ego_->state().d - lane0_center_;
-  obs.heading_error =
-      math::wrap_angle(tick_heading_ - ego_->state().pose.heading);
-  obs.road_curvature = tick_curvature_;
+  obs.center_offset = ego.d - lane0_center_;
+  obs.heading_error = math::wrap_angle(ego.road_heading - ego.pose.heading);
+  obs.road_curvature = ego.road_curvature;
   if (lead_) {
-    const double gap = vehicle::bumper_gap(ego_->state(), ego_->params(),
+    const double gap = vehicle::bumper_gap(ego, ego_->params(),
                                            lead_->state(), lead_->params());
     obs.lead_visible = gap > 0.0 && gap < 150.0;
     obs.lead_gap = gap;
-    obs.lead_rel_speed = lead_->state().speed - ego_->state().speed;
+    obs.lead_rel_speed = lead_->state().speed - ego.speed;
   }
 
   std::optional<vehicle::ActuatorCommand> driver_cmd;

@@ -187,7 +187,7 @@ class World {
   // into any phase, so its runs stay bit-identical to free-running ones.
   friend class exp::RealtimeExecutor;
 
-  void publish_sensors(double road_curvature, double road_heading);
+  void publish_sensors();
   void record(Trace* trace, const vehicle::ActuatorCommand& cmd);
 
   /// step() decomposed into phases so the realtime executor can timestamp
@@ -195,7 +195,10 @@ class World {
   /// project_ego -> end_tick, with end_tick returning step()'s "still
   /// running" result. begin_tick integrates the traffic vehicles and
   /// mid_tick the Ego; each project_* phase then refreshes the Frenet state
-  /// of the vehicles the preceding phase moved.
+  /// (s, d and the road sample at s) of the vehicles the preceding phase
+  /// moved. So every road query of a tick reads a vehicle's state as of
+  /// its last projection: the traffic laws in begin_tick and the camera
+  /// and driver in mid_tick see the Ego's road sample at its pre-step s.
   void begin_tick();
   void project_traffic();
   void mid_tick();
@@ -258,12 +261,6 @@ class World {
   // Benign-fault execution (by value: fixed inline state, so the
   // zero-alloc lifecycle holds with a plan attached). Inert without one.
   fault::FaultInjector fault_injector_;
-
-  // Road queries hoisted in begin_tick at the Ego's pre-step arc length,
-  // consumed by mid_tick (they span the projection barrier between the
-  // two phases).
-  double tick_curvature_ = 0.0;
-  double tick_heading_ = 0.0;
 
   double time_ = 0.0;
   std::uint64_t step_index_ = 0;

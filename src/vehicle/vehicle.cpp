@@ -24,14 +24,17 @@ void Vehicle::reset(const road::Road& road, const VehicleParams& params,
   params_ = params;
   longitudinal_ = LongitudinalDynamics(params);
   lateral_ = LateralDynamics(params);
-  frenet_ = geom::FrenetFrame(road.reference());
+  frenet_ = geom::FrenetFrame(road.reference(), s0);
   longitudinal_.reset(speed);
+  const auto sample = road.sample(s0, geom::Polyline::kNoSegmentHint);
   state_ = VehicleState{};
   state_.pose.position = frenet_.to_world({s0, d0});
-  state_.pose.heading = road.heading_at(s0);
+  state_.pose.heading = sample.heading;
   state_.speed = speed;
   state_.s = s0;
   state_.d = d0;
+  state_.road_heading = sample.heading;
+  state_.road_curvature = sample.curvature;
 }
 
 void Vehicle::integrate(const ActuatorCommand& cmd, double dt) {
@@ -56,8 +59,11 @@ void Vehicle::integrate(const ActuatorCommand& cmd, double dt) {
 
 void Vehicle::refresh_frenet() noexcept {
   const auto f = frenet_.to_frenet(state_.pose.position);
+  const auto sample = road_->sample(f.s, frenet_.hint_segment());
   state_.s = f.s;
   state_.d = f.d;
+  state_.road_heading = sample.heading;
+  state_.road_curvature = sample.curvature;
 }
 
 double bumper_gap(const VehicleState& follower, const VehicleParams& fp,

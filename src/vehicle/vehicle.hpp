@@ -13,6 +13,11 @@
 namespace scaa::vehicle {
 
 /// Snapshot of the physical state of a vehicle (ground truth).
+///
+/// The Frenet state (s, d) and the road sample at s (road_heading,
+/// road_curvature) are set together, by Vehicle::reset() and
+/// Vehicle::refresh_frenet(), so every consumer of the road at the vehicle
+/// (lane keeping, the camera, the driver, the defense) reads one lookup.
 struct VehicleState {
   geom::Pose pose;           ///< world-frame position + heading
   double speed = 0.0;        ///< [m/s]
@@ -21,6 +26,8 @@ struct VehicleState {
   double yaw_rate = 0.0;     ///< [rad/s]
   double s = 0.0;            ///< Frenet arc length along the road [m]
   double d = 0.0;            ///< Frenet lateral offset, +left [m]
+  double road_heading = 0.0;    ///< road heading at s [rad]
+  double road_curvature = 0.0;  ///< road curvature at s, +left [1/m]
 };
 
 /// Actuator command set delivered to a vehicle every control cycle.
@@ -40,25 +47,22 @@ class Vehicle {
 
   /// Re-place the vehicle exactly as the constructor does, reusing the
   /// existing storage: dynamics, Frenet hint, and state end up bit-identical
-  /// to a freshly constructed Vehicle. No allocation.
+  /// to a freshly constructed Vehicle. The road is sampled at @p s0 and the
+  /// Frenet frame's search is seeded there. No allocation.
   void reset(const road::Road& road, const VehicleParams& params, double s0,
              double d0, double speed);
 
   /// Advance dynamics and world pose by @p dt seconds under @p cmd. The
-  /// Frenet coordinates (state().s, state().d) still describe the previous
+  /// Frenet state (s, d and the road sample) still describes the previous
   /// pose until refresh_frenet() — the World integrates every vehicle of a
   /// tick phase first and projects them afterwards, so the projection cost
   /// is timed as a phase of its own.
   void integrate(const ActuatorCommand& cmd, double dt);
 
-  /// Project the current world pose onto the road and store its Frenet
-  /// coordinates, seeded with this vehicle's previous projection.
+  /// Project the current world pose onto the road, seeded with this
+  /// vehicle's previous projection, and store its Frenet coordinates with
+  /// the road sample at the new s (seeded with the projection's segment).
   void refresh_frenet() noexcept;
-
-  /// Segment index of this vehicle's last projection
-  /// (geom::Polyline::kNoSegmentHint before the first one). Seeds hinted
-  /// road heading/curvature queries without a fresh segment search.
-  std::size_t frenet_segment() const noexcept { return frenet_.hint_segment(); }
 
   /// Current ground-truth state.
   const VehicleState& state() const noexcept { return state_; }

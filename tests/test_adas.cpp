@@ -375,6 +375,9 @@ TEST(Sensors, CameraReportsTrueLinesPlusNoise) {
   state.s = 100.0;
   state.d = -1.85;  // centred in lane 0
   state.pose.heading = 0.0;
+  const auto sample = road.sample(state.s, geom::Polyline::kNoSegmentHint);
+  state.road_heading = sample.heading;
+  state.road_curvature = sample.curvature;
   util::RunningStats center;
   for (std::uint64_t i = 0; i < 5000; ++i) {
     cam.step(i, state, 0);
@@ -396,6 +399,9 @@ TEST(Sensors, CameraConfidenceDropsWhenStraddling) {
   vehicle::VehicleState centred;
   centred.s = 100.0;
   centred.d = -1.85;
+  const auto sample = road.sample(centred.s, geom::Polyline::kNoSegmentHint);
+  centred.road_heading = sample.heading;
+  centred.road_curvature = sample.curvature;
   cam.step(0, centred, 0);
   const double conf_centred = latest.value().left_line_prob;
   vehicle::VehicleState straddling = centred;

@@ -75,6 +75,13 @@ TEST(FaultPlan, ErrorsCarryPathAndLine) {
   expect_parse_error("can_drop window=9:3\n", "window");
   expect_parse_error("can_drop rate=0.1 color=red\n", "color");
   expect_parse_error("\n\ncan_drop rate=\n", ":3:");
+  // strtod reads these; a plan value must be finite.
+  expect_parse_error("sensor_noise rate=1.0 mag=0.3 bias=nan target=radar\n",
+                     "bias");
+  expect_parse_error("sensor_noise rate=1.0 bias=inf\n", "bias");
+  expect_parse_error("sensor_noise rate=1.0 mag=inf target=camera\n", "mag");
+  expect_parse_error("can_drop rate=nan\n", "rate");
+  expect_parse_error("can_drop window=0:inf\n", "window");
 }
 
 TEST(FaultPlan, FingerprintSeparatesPlans) {

@@ -166,15 +166,17 @@ TEST(Frenet, CurvatureOfArc) {
     pts.push_back({radius * std::sin(a), radius * (1.0 - std::cos(a))});
   }
   const geom::Polyline line(pts);
-  geom::FrenetFrame frame(line);
-  EXPECT_NEAR(frame.curvature_at(0.5 * line.length(), 5.0), 1.0 / radius,
-              1e-4);
+  EXPECT_NEAR(line.sample(0.5 * line.length(), 5.0,
+                          geom::Polyline::kNoSegmentHint)
+                  .curvature,
+              1.0 / radius, 1e-4);
 }
 
 TEST(Frenet, StraightLineZeroCurvature) {
   const geom::Polyline line({{0, 0}, {1000, 0}});
-  geom::FrenetFrame frame(line);
-  EXPECT_NEAR(frame.curvature_at(500.0), 0.0, 1e-12);
+  EXPECT_NEAR(
+      line.sample(500.0, 1.0, geom::Polyline::kNoSegmentHint).curvature, 0.0,
+      1e-12);
 }
 
 TEST(Frenet, HintSurvivesTeleportingPoints) {

@@ -8,7 +8,10 @@
 // fast kernel matches the reference to <= 1 ulp in s and lateral (in
 // practice bit-exactly: the winning segment's projection is evaluated with
 // the reference's arithmetic), so geometry kernels can keep being rewritten
-// for speed without re-baselining the Monte-Carlo campaigns.
+// for speed without re-baselining the Monte-Carlo campaigns. The road
+// sample (heading and curvature at an arc length, segment-hinted) and a
+// placed vehicle's first projection are held to their unhinted
+// definitions the same way.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +23,10 @@
 #include "geom/frenet.hpp"
 #include "geom/polyline.hpp"
 #include "road/builder.hpp"
+#include "sim/scenario.hpp"
+#include "util/math.hpp"
 #include "util/rng.hpp"
+#include "vehicle/vehicle.hpp"
 
 namespace {
 
@@ -439,6 +445,114 @@ TEST(ProjectDifferential, OffEndPointsClampToEndpoints) {
       if (shape.pts.size() == 4) {  // the straight shape
         EXPECT_EQ(got.s, front ? 0.0 : line.length());
       }
+    }
+  }
+}
+
+// --- road sample -------------------------------------------------------------
+
+/// The road sample's definition, written with unhinted lookups only:
+/// heading_at(s) and the heading difference over a baseline ds centred on
+/// s, clamped to the line.
+Polyline::Sample sample_definition(const Polyline& line, double s, double ds) {
+  Polyline::Sample out;
+  out.heading = line.heading_at(s);
+  const double s0 = s - 0.5 * ds < 0.0 ? 0.0 : s - 0.5 * ds;
+  const double s1 = s0 + ds > line.length() ? line.length() : s0 + ds;
+  if (s1 - s0 < 1e-9) return out;
+  out.curvature =
+      math::wrap_angle(line.heading_at(s1) - line.heading_at(s0)) / (s1 - s0);
+  return out;
+}
+
+TEST(ProjectDifferential, RoadSampleMatchesUnhintedDefinition) {
+  // Arc lengths of the perfbench query stream plus the clamped ends, each
+  // sampled with its exact segment, stale ones, out-of-range ones and none:
+  // every hint must give the unhinted definition bit for bit.
+  const road::Road road = road::RoadBuilder::paper_road();
+  const Polyline& line = road.reference();
+  const std::size_t nseg = line.size() - 1;
+  const std::vector<Vec2> points =
+      cli::projection_workload(line, /*ticks=*/500, /*lanes=*/4);
+  std::vector<double> arcs;
+  for (const Vec2 p : points) arcs.push_back(line.project_reference(p).s);
+  for (const double s : {-30.0, -1.0, -1e-12, 0.0, 1e-12, 0.5, 0.999, 1.0})
+    arcs.push_back(s);
+  for (const double back : {1.0, 0.5, 1e-9, 0.0, -1e-9, -0.5, -40.0})
+    arcs.push_back(line.length() - back);
+
+  for (const double s : arcs) {
+    SCOPED_TRACE(testing::Message() << "s=" << s);
+    const std::size_t seg = line.project(line.position_at(s), -1.0).segment;
+    const std::size_t hints[] = {seg,
+                                 Polyline::kNoSegmentHint,
+                                 0,
+                                 seg + 1,
+                                 seg + 3,
+                                 seg < 40 ? 1 : seg - 40,
+                                 nseg - 1,
+                                 nseg + 5,
+                                 Polyline::kNoSegmentHint - 1};
+    const auto road_want =
+        sample_definition(line, s, road::Road::kCurvatureBaseline);
+    for (const std::size_t h : hints) {
+      const auto got = road.sample(s, h);
+      EXPECT_EQ(got.heading, road_want.heading) << "hint " << h;
+      EXPECT_EQ(got.curvature, road_want.curvature) << "hint " << h;
+      for (const double ds : {0.3, 1.0, 5.0, 60.0, 1e-10}) {
+        const auto want = sample_definition(line, s, ds);
+        const auto line_got = line.sample(s, ds, h);
+        EXPECT_EQ(line_got.heading, want.heading) << "hint " << h;
+        EXPECT_EQ(line_got.curvature, want.curvature)
+            << "hint " << h << " ds " << ds;
+      }
+    }
+  }
+}
+
+TEST(ProjectDifferential, PlacedVehicleFirstProjectionMatchesFullSearch) {
+  // Vehicle::reset seeds the Frenet search at the placement arc length.
+  // At every Table IV start placement (the Ego, the lead at each initial
+  // gap, the neighbour, and the trailing car, whose placement lies before
+  // the road's start), the first refresh_frenet() after reset — at the
+  // placement itself and after one integrated tick — must equal a full
+  // search, and its road sample the unhinted sample at the new s.
+  const road::Road road = road::RoadBuilder::paper_road();
+  const vehicle::VehicleParams params;
+  const sim::Scenario scenario;
+  const double ego_s0 = 30.0;
+  const double lane0 = road.profile().lane_center(0);
+  const double lane1 = road.profile().lane_center(1);
+  struct Placement {
+    double s0;
+    double d0;
+  };
+  std::vector<Placement> placements = {
+      {ego_s0, lane0},
+      {ego_s0 + scenario.neighbor_offset, lane1},
+      {ego_s0 - scenario.trailing_gap - params.length, lane0}};
+  for (const double gap : sim::Scenario::kGaps)
+    placements.push_back({ego_s0 + gap + params.length, lane0});
+  ASSERT_LT(placements[2].s0, 0.0);  // the trailing car starts off the road
+
+  vehicle::Vehicle car(road, params, 500.0, lane1, 10.0);
+  for (const Placement& at : placements) {
+    for (const int ticks : {0, 1}) {
+      SCOPED_TRACE(testing::Message()
+                   << "s0=" << at.s0 << " ticks=" << ticks);
+      car.reset(road, params, at.s0, at.d0, scenario.ego_speed);
+      const auto placed = road.sample(at.s0, Polyline::kNoSegmentHint);
+      EXPECT_EQ(car.state().road_heading, placed.heading);
+      EXPECT_EQ(car.state().road_curvature, placed.curvature);
+      if (ticks == 1) car.integrate({0.0, 0.0}, 0.01);
+      const auto want =
+          road.reference().project(car.state().pose.position, -1.0);
+      car.refresh_frenet();
+      EXPECT_EQ(car.state().s, want.s);
+      EXPECT_EQ(car.state().d, want.lateral);
+      const auto sampled = road.sample(want.s, Polyline::kNoSegmentHint);
+      EXPECT_EQ(car.state().road_heading, sampled.heading);
+      EXPECT_EQ(car.state().road_curvature, sampled.curvature);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "geom/frenet.hpp"
 #include "road/builder.hpp"
 #include "road/road.hpp"
 
@@ -15,6 +16,11 @@ road::RoadProfile two_lane() {
   p.lane_width = 3.7;
   p.guardrail_margin = 1.8;
   return p;
+}
+
+/// Road curvature at @p s, looked up without a segment hint.
+double curvature_at(const road::Road& road, double s) {
+  return road.sample(s, geom::Polyline::kNoSegmentHint).curvature;
 }
 
 TEST(RoadProfile, LaneGeometry) {
@@ -84,28 +90,29 @@ TEST(RoadBuilder, ArcSweepsHeading) {
   const auto road = b.build(two_lane());
   // heading_at samples the chord of the last tessellation segment, so
   // allow ~kappa * spacing of discretization error.
-  EXPECT_NEAR(road.heading_at(road.length() - 0.5), 3.14159265 / 2.0, 1e-2);
+  EXPECT_NEAR(road.reference().heading_at(road.length() - 0.5),
+              3.14159265 / 2.0, 1e-2);
 }
 
 TEST(RoadBuilder, ArcCurvatureMatches) {
   road::RoadBuilder b;
   b.arc(500.0, 1.0 / 250.0);
   const auto road = b.build(two_lane());
-  EXPECT_NEAR(road.curvature_at(250.0), 1.0 / 250.0, 2e-4);
+  EXPECT_NEAR(curvature_at(road, 250.0), 1.0 / 250.0, 2e-4);
 }
 
 TEST(RoadBuilder, NegativeCurvatureTurnsRight) {
   road::RoadBuilder b;
   b.arc(200.0, -1.0 / 100.0);
   const auto road = b.build(two_lane());
-  EXPECT_LT(road.heading_at(150.0), 0.0);
+  EXPECT_LT(road.reference().heading_at(150.0), 0.0);
 }
 
 TEST(RoadBuilder, ZeroCurvatureIsStraight) {
   road::RoadBuilder b;
   b.arc(100.0, 0.0);
   const auto road = b.build(two_lane());
-  EXPECT_NEAR(road.heading_at(90.0), 0.0, 1e-12);
+  EXPECT_NEAR(road.reference().heading_at(90.0), 0.0, 1e-12);
 }
 
 TEST(RoadBuilder, RejectsBadArgs) {
@@ -119,8 +126,8 @@ TEST(RoadBuilder, PaperRoadShape) {
   // Long enough for 50 s at 60 mph (~1.35 km) with margin.
   EXPECT_GT(road.length(), 2000.0);
   // Straight at the start, left curve later.
-  EXPECT_NEAR(road.curvature_at(100.0), 0.0, 1e-6);
-  EXPECT_NEAR(road.curvature_at(800.0), 1.0 / 1200.0, 1e-4);
+  EXPECT_NEAR(curvature_at(road, 100.0), 0.0, 1e-6);
+  EXPECT_NEAR(curvature_at(road, 800.0), 1.0 / 1200.0, 1e-4);
   EXPECT_EQ(road.profile().lane_count, 2u);
 }
 

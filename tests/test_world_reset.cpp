@@ -252,21 +252,59 @@ TEST(WorldReset, ResetRejectsForeignDatabase) {
 }
 
 TEST(WorldReset, HintedRoadQueriesMatchPlain) {
-  // The segment-hinted heading/curvature lookups must be bit-identical to
-  // the plain ones for ANY hint — the hint only changes where the monotone
-  // segment walk starts, never where it ends.
+  // The segment-hinted road sample must be bit-identical to the unhinted
+  // one for ANY hint — the hint only changes where the monotone segment
+  // walks start, never where they end — and its heading is heading_at(s).
   const auto road =
       std::make_shared<const road::Road>(road::RoadBuilder::paper_road());
   const double length = road->length();
   for (int i = 0; i <= 400; ++i) {
     const double s = length * static_cast<double>(i) / 400.0;
+    const auto plain = road->sample(s, geom::Polyline::kNoSegmentHint);
+    ASSERT_EQ(plain.heading, road->reference().heading_at(s)) << "s=" << s;
     for (const std::size_t hint :
          {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{200},
           std::size_t{100000}, geom::Polyline::kNoSegmentHint}) {
-      ASSERT_EQ(road->heading_at(s), road->heading_at(s, hint))
+      const auto hinted = road->sample(s, hint);
+      ASSERT_EQ(plain.heading, hinted.heading)
           << "s=" << s << " hint=" << hint;
-      ASSERT_EQ(road->curvature_at(s), road->curvature_at(s, hint))
+      ASSERT_EQ(plain.curvature, hinted.curvature)
           << "s=" << s << " hint=" << hint;
+    }
+  }
+}
+
+TEST(WorldReset, EgoRoadSampleMatchesUnhintedEveryTick) {
+  // Every consumer of the road at the Ego reads the sample in its Frenet
+  // state, so the sample must describe the Ego's current s after every
+  // step: a tick phase that refreshed s without its sample would leave a
+  // stale heading or curvature here.
+  const WorldAssets assets = WorldAssets::make_default();
+  for (const auto strategy :
+       {attack::StrategyKind::kNone, attack::StrategyKind::kContextAware}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    World world(exp::world_config_for(
+        make_item(strategy, attack::AttackType::kSteeringRight, 3, 50.0, 7),
+        assets));
+    const auto expect_current = [&world](std::size_t steps) {
+      const vehicle::VehicleState& ego = world.ego_state();
+      const auto want =
+          world.road().sample(ego.s, geom::Polyline::kNoSegmentHint);
+      EXPECT_EQ(ego.road_heading, want.heading) << "step " << steps;
+      EXPECT_EQ(ego.road_curvature, want.curvature) << "step " << steps;
+      return ego.road_heading == want.heading &&
+             ego.road_curvature == want.curvature;
+    };
+    std::size_t steps = 0;
+    ASSERT_TRUE(expect_current(steps));  // as placed by reset
+    bool running = true;
+    while (running) {
+      running = world.step();
+      ASSERT_TRUE(expect_current(++steps));
+    }
+    EXPECT_GT(steps, 100u);
+    if (strategy == attack::StrategyKind::kContextAware) {
+      EXPECT_TRUE(world.summarize().attack_activated);
     }
   }
 }
